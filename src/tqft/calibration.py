@@ -125,7 +125,7 @@ def error_budget(m: int, d: int | None, eps_2q: float,
     if c < 0.0:
         raise ValueError(f"noise constant must be >= 0, got {c}")
     if d is None:
-        tv, gates = 0.0, m * (m - 1) // 2
+        tv, gates = 0.0, gate_count(m, m)
     else:
         tv, gates = tvd_bound(m, d, form="loose"), gate_count(m, d)
     precision = 1.0 / (3.0 * 4.0**m)
@@ -153,7 +153,7 @@ def crossover_error_rate(m: int, d: int, c: float = DEFAULT_NOISE_CONSTANT) -> f
     than the full circuit. Undefined at d = m (no gate-count gap)."""
     if not 1 <= d < m:
         raise ValueError(f"crossover needs 1 <= d < m, got d={d}, m={m}")
-    return crossover_from_terms(tvd_bound(m, d, form="loose"), m * (m - 1) // 2,
+    return crossover_from_terms(tvd_bound(m, d, form="loose"), gate_count(m, m),
                                 gate_count(m, d), c)
 
 
@@ -186,7 +186,7 @@ def platform_report(m: int, platforms: tuple[PlatformCalibration, ...] | None = 
         if clamped:
             depth = m
         g_trunc = gate_count(m, depth)
-        g_full = m * (m - 1) // 2
+        g_full = gate_count(m, m)
         rows.append(PlatformRow(plat.name, plat.eps_2q, depth, g_trunc, g_full,
                                 1.0 - g_trunc / g_full, clamped))
     return rows

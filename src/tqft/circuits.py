@@ -1,6 +1,7 @@
 """Depth-truncated QFT circuit plans and their statevector application.
 
-A plan for register size m and truncation depth d contains, for each stage
+A plan is fully determined by register size m and truncation depth d; its
+gate list is derived from the pair and contains, for each stage
 j = 0..m-1 (acting on qubit j, qubit 0 = most significant bit):
 
     H on qubit j, then controlled-phase gates CP(k) for k = 2..min(d, m-j),
@@ -18,12 +19,10 @@ retained controlled-phase count without building a plan.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-
-from .numerics import StateVector
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -41,20 +40,6 @@ class GateOp:
     control: int = -1
     k: int = 0
 
-    def __post_init__(self):
-        if self.kind == HADAMARD:
-            if self.target < 0:
-                raise ValueError("Hadamard needs a target qubit")
-        elif self.kind == CONTROLLED_PHASE:
-            if self.k < 2:
-                raise ValueError(f"controlled-phase angle index must be >= 2, got {self.k}")
-            if self.target < 0 or self.control < 0:
-                raise ValueError("controlled-phase needs control and target qubits")
-            if self.control == self.target:
-                raise ValueError("control and target must differ")
-        elif self.kind != BIT_REVERSAL:
-            raise ValueError(f"unknown gate kind {self.kind!r}")
-
     @property
     def angle(self) -> float:
         """Rotation angle 2*pi/2^k in radians (controlled-phase only)."""
@@ -63,61 +48,31 @@ class GateOp:
         return 2.0 * math.pi / (1 << self.k)
 
 
-def hadamard(target: int) -> GateOp:
-    return GateOp(HADAMARD, target=target)
-
-
-def controlled_phase(k: int, control: int, target: int) -> GateOp:
-    return GateOp(CONTROLLED_PHASE, target=target, control=control, k=k)
-
-
-def bit_reversal() -> GateOp:
-    return GateOp(BIT_REVERSAL)
-
-
 def gate_count(m: int, d: int) -> int:
     """Number of controlled-phase gates in the depth-d plan on m qubits.
 
-    Stage j retains min(d-1, m-j-1) gates (never negative); d = m gives the
+    Stage j retains min(d-1, m-j-1) gates: the first m-d+1 stages keep
+    d-1 each and the last d-1 stages keep d-2, ..., 0. d = m gives the
     full-circuit count m(m-1)/2.
     """
     _check_m_d(m, d)
-    return sum(max(0, min(d - 1, m - j - 1)) for j in range(m))
+    return (m - d + 1) * (d - 1) + (d - 1) * (d - 2) // 2
 
 
 @dataclass(frozen=True)
 class CircuitPlan:
-    """Ordered gate list for the depth-d truncated QFT on m qubits."""
+    """The depth-d truncated QFT on m qubits; its gate list follows from (m, d)."""
 
     m: int
     d: int
-    gates: tuple[GateOp, ...] = field(repr=False)
 
     def __post_init__(self):
         _check_m_d(self.m, self.d)
-        n_h = n_cp = 0
-        for g in self.gates:
-            if g.kind == HADAMARD:
-                n_h += 1
-                if not 0 <= g.target < self.m:
-                    raise ValueError(f"Hadamard target {g.target} out of range for m={self.m}")
-            elif g.kind == CONTROLLED_PHASE:
-                n_cp += 1
-                if not (0 <= g.target < self.m and 0 <= g.control < self.m):
-                    raise ValueError(f"gate qubits ({g.control}, {g.target}) out of range")
-                if g.k > self.d:
-                    raise ValueError(f"angle index {g.k} exceeds truncation depth {self.d}")
-        if n_h != self.m:
-            raise ValueError(f"plan must hold exactly {self.m} Hadamards, found {n_h}")
-        if n_cp != gate_count(self.m, self.d):
-            raise ValueError(
-                f"plan holds {n_cp} controlled-phase gates, "
-                f"expected {gate_count(self.m, self.d)} for (m={self.m}, d={self.d})"
-            )
-        if not self.gates or self.gates[-1].kind != BIT_REVERSAL:
-            raise ValueError("plan must end with a single bit-reversal")
-        if sum(g.kind == BIT_REVERSAL for g in self.gates) != 1:
-            raise ValueError("plan must contain exactly one bit-reversal")
+
+    @property
+    def gates(self) -> tuple[GateOp, ...]:
+        """Ordered gate list, generated once per (m, d) and shared."""
+        return _plan_gates(self.m, self.d)
 
     @property
     def controlled_phase_count(self) -> int:
@@ -126,14 +81,18 @@ class CircuitPlan:
 
 def plan_truncated_qft(m: int, d: int) -> CircuitPlan:
     """Build the depth-d truncated QFT plan. d is validated, never clamped."""
-    _check_m_d(m, d)
-    gates: list[GateOp] = []
+    return CircuitPlan(m, d)
+
+
+@lru_cache(maxsize=64)
+def _plan_gates(m: int, d: int) -> tuple[GateOp, ...]:
+    gates = []
     for j in range(m):
-        gates.append(hadamard(j))
-        for k in range(2, min(d, m - j) + 1):
-            gates.append(controlled_phase(k, control=j + k - 1, target=j))
-    gates.append(bit_reversal())
-    return CircuitPlan(m, d, tuple(gates))
+        gates.append(GateOp(HADAMARD, target=j))
+        gates.extend(GateOp(CONTROLLED_PHASE, target=j, control=j + k - 1, k=k)
+                     for k in range(2, min(d, m - j) + 1))
+    gates.append(GateOp(BIT_REVERSAL))
+    return tuple(gates)
 
 
 def _check_m_d(m: int, d: int) -> None:
@@ -157,25 +116,14 @@ def bit_reversal_permutation(m: int) -> np.ndarray:
     return rev
 
 
-def apply_plan(state: StateVector, plan: CircuitPlan, inverse: bool = False) -> StateVector:
-    """Apply a plan (or its adjoint) to a statevector.
-
-    The inverse direction runs the gates in reverse order with conjugated
-    phase angles; Hadamard and the bit-reversal permutation are their own
-    inverses. Output norm equals input norm to machine precision.
-    """
-    if state.m != plan.m:
-        raise ValueError(f"state has m={state.m} but plan has m={plan.m}")
-    amps = state.amplitudes.copy()
-    apply_plan_to_array(amps, plan, inverse=inverse)
-    return StateVector(state.m, amps)
-
-
 def apply_plan_to_array(amps: np.ndarray, plan: CircuitPlan, inverse: bool = False) -> None:
     """In-place plan application on an array whose last axis is the state axis.
 
     Leading axes are batch dimensions, so a (batch, 2^m) array runs every
-    state through the same plan in one pass.
+    state through the same plan in one pass. The inverse direction runs the
+    gates in reverse order with conjugated phase angles; Hadamard and the
+    bit-reversal permutation are their own inverses. Each state keeps its
+    norm to machine precision.
     """
     m = plan.m
     if m > APPLY_MAX_QUBITS:
@@ -252,26 +200,28 @@ def serialize_plan(plan: CircuitPlan) -> str:
 
 
 def parse_plan(text: str) -> CircuitPlan:
-    """Parse the serialize_plan format, validating all plan invariants."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines:
+    """Parse the serialize_plan format.
+
+    The body must be exactly the gate list of the plan its header names;
+    otherwise the error names the first differing line. Blank lines and
+    runs of whitespace are ignored.
+    """
+    numbered = [(no, " ".join(ln.split())) for no, ln in enumerate(text.splitlines(), 1)
+                if ln.strip()]
+    if not numbered:
         raise ValueError("empty plan text")
-    header = lines[0].split()
+    header = numbered[0][1]
     try:
-        fields = dict(part.split("=", 1) for part in header)
+        fields = dict(part.split("=", 1) for part in header.split())
         m, d = int(fields["m"]), int(fields["d"])
     except (ValueError, KeyError) as exc:
-        raise ValueError(f"malformed plan header {lines[0]!r}") from exc
-    gates: list[GateOp] = []
-    for ln in lines[1:]:
-        parts = ln.split()
-        if parts[0] == "H" and len(parts) == 2:
-            gates.append(hadamard(int(parts[1])))
-        elif parts[0] == "CP" and len(parts) == 4:
-            gates.append(controlled_phase(int(parts[1]), control=int(parts[2]),
-                                          target=int(parts[3])))
-        elif parts[0] == "BITREV" and len(parts) == 1:
-            gates.append(bit_reversal())
-        else:
-            raise ValueError(f"malformed plan line {ln!r}")
-    return CircuitPlan(m, d, tuple(gates))
+        raise ValueError(f"malformed plan header {header!r}") from exc
+    plan = plan_truncated_qft(m, d)
+    # An empty string marks the end on both sides: no normalized line is empty.
+    expected = serialize_plan(plan).splitlines()[1:] + [""]
+    found = numbered[1:] + [(numbered[-1][0] + 1, "")]
+    for want, (no, got) in zip(expected, found):
+        if got != want:
+            raise ValueError(f"plan line {no} does not match m={m} d={d}: expected "
+                             f"{want or 'end of plan'!r}, found {got or 'end of text'!r}")
+    return plan

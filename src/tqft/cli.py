@@ -256,7 +256,7 @@ def cmd_gates(args) -> int:
     for m in ms:
         if m < 1:
             raise UsageError(f"--m values must be >= 1, got {m}")
-        full = m * (m - 1) // 2
+        full = gate_count(m, m)
         for d in _depths_for(m, ds):
             gates = gate_count(m, d)
             reduction = 100.0 * (1.0 - gates / full) if full else 0.0
@@ -328,7 +328,7 @@ def cmd_rmse(args) -> int:
                 "m": args.m, "d": d, "eps_2q": eps, "c": args.c,
                 "tv_bound": tvd_bound(args.m, d, form="loose"),
                 "gates": gate_count(args.m, d),
-                "gates_full": args.m * (args.m - 1) // 2,
+                "gates_full": gate_count(args.m, args.m),
                 "rmse_truncated": truncated.rmse, "rmse_full": full.rmse,
             })
     return _emit(args, ["m", "d", "eps_2q", "c", "tv_bound", "gates", "gates_full",
@@ -348,7 +348,7 @@ def cmd_crossover(args) -> int:
             "m": args.m, "d": d, "c": args.c,
             "tv_bound": tvd_bound(args.m, d, form="loose"),
             "gates_truncated": gate_count(args.m, d),
-            "gates_full": args.m * (args.m - 1) // 2,
+            "gates_full": gate_count(args.m, args.m),
             "crossover_eps": crossover_error_rate(args.m, d, args.c),
         })
     return _emit(args, ["m", "d", "c", "tv_bound", "gates_truncated", "gates_full",

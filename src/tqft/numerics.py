@@ -1,6 +1,5 @@
-"""Self-contained numerical kernels: statevectors, a dense symmetric
-eigensolver, a deterministic counter-based PRNG, and circular phase
-distances.
+"""Self-contained numerical kernels: a dense symmetric eigensolver, a
+deterministic counter-based PRNG, and circular phase distances.
 
 Conventions used throughout the package:
 
@@ -19,45 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-NORM_TOL = 1e-10
-
 
 class ConvergenceError(RuntimeError):
     """Eigensolver failed to converge within its sweep budget."""
-
-
-@dataclass(frozen=True)
-class StateVector:
-    """Normalized complex amplitudes over the 2^m computational basis states."""
-
-    m: int
-    amplitudes: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        if self.m < 1:
-            raise ValueError(f"qubit count must be >= 1, got {self.m}")
-        amps = np.ascontiguousarray(self.amplitudes, dtype=np.complex128)
-        if amps.shape != (1 << self.m,):
-            raise ValueError(
-                f"expected {1 << self.m} amplitudes for m={self.m}, got shape {amps.shape}"
-            )
-        norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > NORM_TOL:
-            raise ValueError(f"statevector norm {norm!r} deviates from 1 by more than {NORM_TOL}")
-        object.__setattr__(self, "amplitudes", amps)
-
-    @property
-    def dim(self) -> int:
-        return 1 << self.m
-
-    @classmethod
-    def basis_state(cls, m: int, index: int) -> "StateVector":
-        amps = np.zeros(1 << m, dtype=np.complex128)
-        amps[index] = 1.0
-        return cls(m, amps)
-
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
 
 
 @dataclass(frozen=True)

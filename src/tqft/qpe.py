@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuits import CircuitPlan, apply_plan_to_array, plan_truncated_qft
-from .numerics import SplitMix64, StateVector, circular_distance_array
+from .circuits import apply_plan_to_array, plan_truncated_qft
+from .numerics import SplitMix64, circular_distance_array
 
 logger = logging.getLogger(__name__)
 
@@ -66,16 +66,6 @@ def _normalize_phase(phi: float) -> float:
     return phi
 
 
-def kickback_state(phi: float, m: int) -> StateVector:
-    """Control-register state after phase kickback: amplitude j = e^{2*pi*i*j*phi}/sqrt(N)."""
-    if m > 24:
-        raise ValueError(f"kickback state is limited to m <= 24, got {m}")
-    phi = _normalize_phase(phi)
-    n = 1 << m
-    amps = np.exp(2j * np.pi * phi * np.arange(n)) / math.sqrt(n)
-    return StateVector(m, amps)
-
-
 def _kickback_batch(phis: np.ndarray, m: int) -> np.ndarray:
     n = 1 << m
     return np.exp(2j * np.pi * np.outer(phis % 1.0, np.arange(n))) / math.sqrt(n)
@@ -87,19 +77,14 @@ def phase_distribution(phi: float, m: int, d: int) -> PhaseDistribution:
     return PhaseDistribution(m, probs)
 
 
-def phase_distributions(phis: np.ndarray, m: int, d: int,
-                        plan: CircuitPlan | None = None) -> np.ndarray:
+def phase_distributions(phis: np.ndarray, m: int, d: int) -> np.ndarray:
     """Outcome probabilities for many eigenphases at once; rows sum to 1.
 
-    Chunks the phase batch to bound peak memory; pass a prebuilt plan when
-    sweeping d to avoid rebuilding it per call.
+    Chunks the phase batch to bound peak memory.
     """
     if m > DIST_MAX_QUBITS:
         raise ValueError(f"distribution experiments are limited to m <= {DIST_MAX_QUBITS}")
-    if plan is None:
-        plan = plan_truncated_qft(m, d)
-    elif (plan.m, plan.d) != (m, d):
-        raise ValueError(f"plan is for (m={plan.m}, d={plan.d}), requested (m={m}, d={d})")
+    plan = plan_truncated_qft(m, d)
     phis = np.asarray(phis, dtype=np.float64)
     n = 1 << m
     out = np.empty((len(phis), n))

@@ -6,7 +6,6 @@ import pytest
 from tqft.numerics import (
     ConvergenceError,
     SplitMix64,
-    StateVector,
     SymmetricMatrix,
     circular_distance,
     circular_distance_array,
@@ -87,20 +86,6 @@ def test_circular_distance_properties():
     assert np.array_equal(dist, circular_distance_array(b, a))
     for i in range(0, 500, 37):
         assert dist[i] == circular_distance(float(a[i]), float(b[i]))
-
-
-def test_state_vector_validation():
-    amps = np.zeros(8, dtype=complex)
-    amps[0] = 1.0
-    sv = StateVector(3, amps)
-    assert sv.dim == 8
-    assert np.allclose(sv.probabilities(), np.eye(8)[0])
-    with pytest.raises(ValueError):
-        StateVector(3, np.ones(8, dtype=complex))  # not normalized
-    with pytest.raises(ValueError):
-        StateVector(2, amps)  # wrong length
-    basis = StateVector.basis_state(3, 5)
-    assert basis.amplitudes[5] == 1.0
 
 
 def test_symmetric_matrix_construction():

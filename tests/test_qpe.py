@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from tqft.circuits import controlled_phase, plan_truncated_qft, plan_unitary
+from tqft.circuits import plan_truncated_qft, plan_unitary
 from tqft.numerics import SplitMix64, circular_distance
 from tqft.qpe import (
     SUCCESS_FLOOR,
@@ -11,7 +11,6 @@ from tqft.qpe import (
     closed_form_full_distribution,
     default_phase_sample,
     grid_phases,
-    kickback_state,
     max_tvd,
     mean_success_probability,
     phase_distribution,
@@ -21,20 +20,6 @@ from tqft.qpe import (
     success_probability,
     tvd,
 )
-
-
-def test_kickback_amplitudes():
-    state = kickback_state(0.0, 3)
-    assert np.allclose(state.amplitudes, np.full(8, 8.0 ** -0.5))
-    state = kickback_state(0.5, 1)
-    assert np.allclose(state.amplitudes * np.sqrt(2.0), [1.0, -1.0])
-    phi, m = 0.37, 5
-    state = kickback_state(phi, m)
-    js = np.arange(32)
-    assert np.allclose(state.amplitudes,
-                       np.exp(2j * np.pi * js * phi) / np.sqrt(32.0), atol=1e-14)
-    with pytest.raises(ValueError):
-        kickback_state(0.1, 25)
 
 
 def test_on_grid_phase_is_recovered_exactly():
@@ -151,7 +136,7 @@ def test_operator_norm_dominates_outcome_tvd():
 @pytest.mark.parametrize("k", range(2, 21))
 def test_phase_gate_spectral_distance(k):
     # ||diag(1,..,e^{i*theta}) - I|| = |e^{i*theta} - 1| = 2 sin(pi/2^k)
-    angle = controlled_phase(k, k - 1, 0).angle
+    angle = plan_truncated_qft(k, k).gates[k - 1].angle
     assert abs(np.exp(1j * angle) - 1.0) == pytest.approx(2.0 * math.sin(math.pi / 2**k),
                                                           abs=1e-15)
 
