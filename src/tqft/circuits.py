@@ -14,6 +14,10 @@ matrix entry (y, x) = exp(2*pi*i*x*y/N)/sqrt(N).
 
 Truncation drops every rotation finer than 2*pi/2^d. gate_count gives the
 retained controlled-phase count without building a plan.
+
+Statevector application defines what a plan does. Outcome distributions
+are computed in tqft.qpe from a product formula instead, and tests check
+that formula against apply_plan_to_array and the dense unitaries here.
 """
 
 from __future__ import annotations

@@ -92,7 +92,10 @@ def parse_int_list(text: str) -> list[int] | None:
 
 
 def parse_float_list(text: str) -> list[float]:
-    """`1e-4..1e-2:log8` / `0.1..0.5:lin5` / comma list / single float."""
+    """`1e-4..1e-2:log8` / `0.1..0.5:lin5` / comma list / single float.
+
+    The result holds at least one value and only finite ones.
+    """
     text = text.strip()
     try:
         if ":" in text:
@@ -103,15 +106,22 @@ def parse_float_list(text: str) -> list[float]:
                 points = int(scale[3:])
                 if lo <= 0 or hi <= 0:
                     raise UsageError(f"log range needs positive endpoints: {text!r}")
-                return list(np.geomspace(lo, hi, points))
-            if scale.startswith("lin"):
-                return list(np.linspace(lo, hi, int(scale[3:])))
-            raise UsageError(f"unknown scale {scale!r} (expected logN or linN)")
-        return [float(token) for token in text.split(",")]
+                values = list(np.geomspace(lo, hi, points))
+            elif scale.startswith("lin"):
+                values = list(np.linspace(lo, hi, int(scale[3:])))
+            else:
+                raise UsageError(f"unknown scale {scale!r} (expected logN or linN)")
+        else:
+            values = [float(token) for token in text.split(",")]
     except UsageError:
         raise
     except ValueError as exc:
         raise UsageError(f"bad float range {text!r}") from exc
+    if not values:
+        raise UsageError(f"float range {text!r} selects no values")
+    if not all(np.isfinite(values)):
+        raise UsageError(f"float range {text!r} holds a non-finite value")
+    return values
 
 
 def parse_phase_spec(text: str) -> tuple[int, int]:
@@ -140,10 +150,14 @@ def _phase_sample(args) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def _depths_for(m: int, ds: list[int] | None) -> list[int]:
-    if ds is None:
-        return list(range(1, m + 1))
-    return [d for d in ds if d <= m]
+def _depths_for(ms: list[int], ds: list[int] | None) -> list[tuple[int, list[int]]]:
+    """Each register size with its depths: 1..m for 'all', else the requested d <= m."""
+    rows = [(m, list(range(1, m + 1)) if ds is None else [d for d in ds if d <= m])
+            for m in ms]
+    if not any(depths for _, depths in rows):
+        raise UsageError(f"no requested depth fits a register size (need d <= m): "
+                         f"m in {ms}, d in {ds}")
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -228,8 +242,8 @@ def cmd_tvd(args) -> int:
             raise UsageError(f"--m values must lie in 1..{SCAN_MAX_QUBITS}, got {m}")
     sample = _phase_sample(args)
     rows, violated = [], False
-    for m in ms:
-        for d in _depths_for(m, ds):
+    for m, m_depths in _depths_for(ms, ds):
+        for d in m_depths:
             max_tv, _ = max_tvd(m, d, phases=sample)
             tight = tvd_bound(m, d, form="tight")
             loose = tvd_bound(m, d, form="loose")
@@ -252,12 +266,13 @@ def cmd_gates(args) -> int:
     if ms is None:
         raise UsageError("--m must be explicit (no 'all')")
     ds = parse_int_list(args.d)
-    rows = []
     for m in ms:
         if m < 1:
             raise UsageError(f"--m values must be >= 1, got {m}")
+    rows = []
+    for m, m_depths in _depths_for(ms, ds):
         full = gate_count(m, m)
-        for d in _depths_for(m, ds):
+        for d in m_depths:
             gates = gate_count(m, d)
             reduction = 100.0 * (1.0 - gates / full) if full else 0.0
             rows.append({"m": m, "d": d, "gates": gates, "gates_full": full,
@@ -278,9 +293,9 @@ def cmd_cliff(args) -> int:
         raise UsageError(f"--shots must be >= 1, got {args.shots}")
     sample = _phase_sample(args)
     rows = []
-    for m in ms:
+    for m, m_depths in _depths_for(ms, ds):
         marker = cliff_depth(m)
-        for d in _depths_for(m, ds):
+        for d in m_depths:
             exact = mean_success_probability(sample, m, d)
             sampled = None
             if args.mode == "sampled":
@@ -313,9 +328,11 @@ def cmd_platforms(args) -> int:
 
 def cmd_rmse(args) -> int:
     """Three-term RMSE model: truncated vs full across an error-rate sweep."""
+    if args.m < 1:
+        raise UsageError(f"--m must be >= 1, got {args.m}")
     ds = parse_int_list(args.d)
     if ds is None:
-        ds = _depths_for(args.m, None)
+        ds = list(range(1, args.m + 1))
     eps_values = parse_float_list(args.eps)
     rows = []
     for d in ds:
@@ -337,6 +354,8 @@ def cmd_rmse(args) -> int:
 
 def cmd_crossover(args) -> int:
     """Error rate where the truncated circuit starts beating the full one."""
+    if args.m < 2:
+        raise UsageError(f"crossover needs a truncated depth d < m, so --m >= 2; got {args.m}")
     ds = parse_int_list(args.d)
     if ds is None:
         ds = list(range(1, args.m))

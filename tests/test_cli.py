@@ -108,6 +108,24 @@ def test_usage_error_exit_codes(tmp_path, capsys):
     assert "UsageError" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["rmse", "--m", "16", "--d", "11", "--eps", "nan"],
+    ["rmse", "--m", "16", "--d", "11", "--eps", "1e-3,inf"],
+    ["rmse", "--m", "16", "--d", "11", "--eps", "1e-3..1e-2:log0"],
+    ["rmse", "--m", "16", "--d", "11", "--eps", "0..1:lin0"],
+    ["rmse", "--m", "0"],
+    ["crossover", "--m", "1"],
+    ["gates", "--m", "4", "--d", "9"],
+    ["tvd", "--m", "4,5", "--d", "6", "--phases", "8", "--grid", "0"],
+    ["cliff", "--m", "4", "--d", "9", "--phases", "grid:8"],
+], ids=" ".join)
+def test_empty_or_nonfinite_sweep_is_a_usage_error(argv, tmp_path, capsys):
+    out = tmp_path / "artifact.csv"
+    assert main(argv + ["--out", str(out)]) == 1
+    assert json.loads(capsys.readouterr().err.splitlines()[0])["error"] == "UsageError"
+    assert not out.exists()
+
+
 def test_numerical_failure_exit_code(tmp_path, capsys):
     assert main(["platforms", "--m", "30", "--file", str(tmp_path / "missing.csv")]) == 2
     payload = json.loads(capsys.readouterr().err.splitlines()[0])

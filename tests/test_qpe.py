@@ -8,6 +8,7 @@ from tqft.numerics import SplitMix64, circular_distance
 from tqft.qpe import (
     SUCCESS_FLOOR,
     PhaseDistribution,
+    _statevector_distributions,
     closed_form_full_distribution,
     default_phase_sample,
     grid_phases,
@@ -74,6 +75,31 @@ def test_batch_distributions_match_single():
     for i, phi in enumerate(phis):
         single = phase_distribution(float(phi), 6, 4)
         assert np.max(np.abs(batch[i] - single.probs)) < 1e-13
+
+
+def _assert_matches_statevector(phis, m, d):
+    probs = phase_distributions(phis, m, d)
+    assert np.max(np.abs(probs - _statevector_distributions(phis, m, d))) < 1e-12, (m, d)
+    assert probs.min() >= 0.0 and probs.max() <= 1.0, (m, d)
+    assert np.max(np.abs(probs.sum(axis=1) - 1.0)) <= 1e-12, (m, d)
+
+
+def test_product_formula_matches_statevector_every_depth():
+    phis = np.concatenate([
+        random_phases(40, 5),
+        [0.0, 0.5, 0.25, 0.75, 3.0 / 8.0, 1.0 / 256.0, 1.0 - 2.0**-40],
+        [-0.3, -0.25, -1e-9, -2.0**-40, -7.125],
+    ])
+    for m in range(1, 9):
+        for d in range(1, m + 1):
+            _assert_matches_statevector(phis, m, d)
+
+
+@pytest.mark.parametrize("m", [10, 12])
+def test_product_formula_matches_statevector_large_registers(m):
+    phis = default_phase_sample()[::23]  # every 23rd phase: 22 random, 178 on the grid
+    for d in (1, 3, m):
+        _assert_matches_statevector(phis, m, d)
 
 
 def test_tvd_basics():
