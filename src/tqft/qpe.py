@@ -172,10 +172,6 @@ def tvd(p: PhaseDistribution, q: PhaseDistribution) -> float:
     return 0.5 * float(np.abs(p.probs - q.probs).sum())
 
 
-def _tvd_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    return 0.5 * np.abs(p - q).sum(axis=-1)
-
-
 def random_phases(count: int, seed: int) -> np.ndarray:
     """`count` phases drawn uniformly from [0, 1) with the package PRNG."""
     if count < 1:
@@ -213,9 +209,9 @@ def max_tvd(m: int, d: int, phases: np.ndarray | None = None,
     phases = np.asarray(phases, dtype=np.float64)
     if phases.size == 0:
         raise ValueError("empty phase sample")
-    full = phase_distributions(phases, m, m)
-    trunc = phase_distributions(phases, m, d)
-    tv = _tvd_rows(full, trunc)
+    diff = phase_distributions(phases, m, m)
+    diff -= phase_distributions(phases, m, d)
+    tv = 0.5 * np.abs(diff, out=diff).sum(axis=1)
     best = int(np.argmax(tv))
     return float(tv[best]), float(phases[best])
 
