@@ -16,7 +16,9 @@ Sweep flags accept small range expressions:
     --phases 500     500 seeded random phases
     --phases grid:256        a 256-point uniform phase grid
 
-Exit codes: 0 success, 1 usage error, 2 numerical failure, 3 bound
+Exit codes: 0 success; 1 a flag value or input file that a check
+rejects (bad syntax, a value outside the domain of the study, a size
+beyond a cap); 2 a numerical failure or an unreadable file; 3 bound
 violation (returned when a measured TVD exceeds the truncation bound).
 """
 
@@ -38,8 +40,8 @@ from .calibration import (DEFAULT_NOISE_CONSTANT, cliff_depth, crossover_error_r
                           error_budget, load_platforms, platform_report, tvd_bound)
 from .circuits import gate_count, plan_truncated_qft, serialize_plan
 from .numerics import ConvergenceError, SplitMix64, circular_distance_array
-from .qpe import (SCAN_MAX_QUBITS, grid_phases, max_tvd, mean_success_probability,
-                  phase_distribution, random_phases, sample_outcomes)
+from .qpe import (grid_phases, max_tvd, mean_success_probability, phase_distribution,
+                  random_phases, sample_outcomes)
 from .tfim import TfimSpec, encode_phase, qpe_energy_experiment, spectrum
 
 OUTPUT_DIR_ENV = "TQFT_OUTPUT_DIR"
@@ -51,7 +53,7 @@ EXIT_VIOLATION = 3
 
 
 class UsageError(ValueError):
-    """Bad flag values discovered after parsing (ranges, domain limits)."""
+    """Bad flag values discovered after parsing that no library call checks."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -138,8 +140,6 @@ def parse_phase_spec(text: str) -> tuple[int, int]:
 def _phase_sample(args) -> np.ndarray:
     random_count, grid_points = parse_phase_spec(args.phases)
     grid_points += getattr(args, "grid", 0)
-    if random_count < 0 or grid_points < 0:
-        raise UsageError("phase counts must be nonnegative")
     parts = []
     if random_count:
         parts.append(random_phases(random_count, args.seed))
@@ -150,8 +150,14 @@ def _phase_sample(args) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def _depths_for(ms: list[int], ds: list[int] | None) -> list[tuple[int, list[int]]]:
-    """Each register size with its depths: 1..m for 'all', else the requested d <= m."""
+def _depths_for(args) -> list[tuple[int, list[int]]]:
+    """Each --m value with its depths: 1..m for 'all', else the requested d <= m."""
+    ms = parse_int_list(args.m)
+    if ms is None:
+        raise UsageError("--m must be explicit (no 'all')")
+    if min(ms) < 1:
+        raise UsageError(f"--m values must be >= 1, got {min(ms)}")
+    ds = parse_int_list(args.d)
     rows = [(m, list(range(1, m + 1)) if ds is None else [d for d in ds if d <= m])
             for m in ms]
     if not any(depths for _, depths in rows):
@@ -233,16 +239,9 @@ def _emit(args, columns: list[str], rows: list[dict]) -> int:
 
 def cmd_tvd(args) -> int:
     """Max TVD between truncated and full estimation vs the two bounds."""
-    ms = parse_int_list(args.m)
-    if ms is None:
-        raise UsageError("--m must be explicit (no 'all')")
-    ds = parse_int_list(args.d)
-    for m in ms:
-        if not 1 <= m <= SCAN_MAX_QUBITS:
-            raise UsageError(f"--m values must lie in 1..{SCAN_MAX_QUBITS}, got {m}")
     sample = _phase_sample(args)
     rows, violated = [], False
-    for m, m_depths in _depths_for(ms, ds):
+    for m, m_depths in _depths_for(args):
         for d in m_depths:
             max_tv, _ = max_tvd(m, d, phases=sample)
             tight = tvd_bound(m, d, form="tight")
@@ -262,15 +261,8 @@ def cmd_tvd(args) -> int:
 
 def cmd_gates(args) -> int:
     """Retained two-qubit gate counts and the saving over the full circuit."""
-    ms = parse_int_list(args.m)
-    if ms is None:
-        raise UsageError("--m must be explicit (no 'all')")
-    ds = parse_int_list(args.d)
-    for m in ms:
-        if m < 1:
-            raise UsageError(f"--m values must be >= 1, got {m}")
     rows = []
-    for m, m_depths in _depths_for(ms, ds):
+    for m, m_depths in _depths_for(args):
         full = gate_count(m, m)
         for d in m_depths:
             gates = gate_count(m, d)
@@ -282,18 +274,11 @@ def cmd_gates(args) -> int:
 
 def cmd_cliff(args) -> int:
     """Mean estimation success vs depth, around the collapse threshold."""
-    ms = parse_int_list(args.m)
-    if ms is None:
-        raise UsageError("--m must be explicit (no 'all')")
-    ds = parse_int_list(args.d)
-    for m in ms:
-        if not 2 <= m <= SCAN_MAX_QUBITS:
-            raise UsageError(f"--m values must lie in 2..{SCAN_MAX_QUBITS}, got {m}")
     if args.shots < 1:
         raise UsageError(f"--shots must be >= 1, got {args.shots}")
     sample = _phase_sample(args)
     rows = []
-    for m, m_depths in _depths_for(ms, ds):
+    for m, m_depths in _depths_for(args):
         marker = cliff_depth(m)
         for d in m_depths:
             exact = mean_success_probability(sample, m, d)
@@ -336,8 +321,6 @@ def cmd_rmse(args) -> int:
     eps_values = parse_float_list(args.eps)
     rows = []
     for d in ds:
-        if not 1 <= d <= args.m:
-            raise UsageError(f"--d must lie in 1..{args.m}, got {d}")
         for eps in eps_values:
             truncated = error_budget(args.m, d, eps, args.c)
             full = error_budget(args.m, None, eps, args.c)
@@ -361,8 +344,6 @@ def cmd_crossover(args) -> int:
         ds = list(range(1, args.m))
     rows = []
     for d in ds:
-        if not 1 <= d < args.m:
-            raise UsageError(f"crossover needs 1 <= d < m, got d={d}, m={args.m}")
         rows.append({
             "m": args.m, "d": d, "c": args.c,
             "tv_bound": tvd_bound(args.m, d, form="loose"),
@@ -550,14 +531,13 @@ def run(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     try:
         code = args.func(args)
-    except UsageError as exc:
+    except ValueError as exc:
+        # Every ValueError a subcommand can reach rejects a flag value or the
+        # contents of an input file; a computed value that fails its check
+        # surfaces as an ArithmeticError instead.
         print(json.dumps({"error": "UsageError", "message": str(exc)}), file=sys.stderr)
         return EXIT_USAGE
-    except ConvergenceError as exc:
-        print(json.dumps({"error": "ConvergenceError", "message": str(exc)}),
-              file=sys.stderr)
-        return EXIT_NUMERICAL
-    except (ValueError, OSError) as exc:
+    except (ConvergenceError, ArithmeticError, OSError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
         return EXIT_NUMERICAL

@@ -22,7 +22,6 @@ closed-form full-depth kernel.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field
 
@@ -31,10 +30,8 @@ import numpy as np
 from .circuits import apply_plan_to_array, plan_truncated_qft
 from .numerics import SplitMix64, circular_distance_array
 
-logger = logging.getLogger(__name__)
-
 DIST_MAX_QUBITS = 20  # distribution experiments stay desk-scale
-SCAN_MAX_QUBITS = 12  # dense per-phase scans (max_tvd) get a tighter cap
+SCAN_MAX_QUBITS = 12  # (phases, 2^m) scans (max_tvd, mean success) get a tighter cap
 
 # Probability that phase estimation lands within one grid cell of the true
 # phase, in the worst case: 8/pi^2.
@@ -69,17 +66,17 @@ class PhaseDistribution:
         return np.arange(1 << self.m) / (1 << self.m)
 
 
-def _normalize_phase(phi: float) -> float:
-    if not 0.0 <= phi < 1.0:
-        logger.info("phase %r outside [0, 1); reducing modulo 1", phi)
-        phi %= 1.0
-    return phi
-
-
 def phase_distribution(phi: float, m: int, d: int) -> PhaseDistribution:
-    """Measurement distribution after the adjoint depth-d plan (d = m: full QFT)."""
+    """Measurement distribution after the adjoint depth-d plan (d = m: full QFT).
+
+    A computed row that fails the PhaseDistribution check is a numerical
+    failure, not a bad argument, so it is raised as ArithmeticError.
+    """
     probs = phase_distributions(np.array([float(phi)]), m, d)[0]
-    return PhaseDistribution(m, probs)
+    try:
+        return PhaseDistribution(m, probs)
+    except ValueError as exc:
+        raise ArithmeticError(f"computed distribution for m={m} d={d}: {exc}") from exc
 
 
 def phase_distributions(phis: np.ndarray, m: int, d: int) -> np.ndarray:
@@ -155,7 +152,7 @@ def closed_form_full_distribution(phi: float, m: int) -> PhaseDistribution:
     """
     if m > DIST_MAX_QUBITS:
         raise ValueError(f"closed-form kernel is limited to m <= {DIST_MAX_QUBITS}")
-    phi = _normalize_phase(phi)
+    phi = phi % 1.0
     n = 1 << m
     delta = phi - np.arange(n) / n
     denom = n * np.sin(np.pi * delta)
@@ -231,7 +228,7 @@ def success_probability(phi: float, m: int, d: int, shots: int | None = None,
     window. Sampled mode draws `shots` outcomes and reports the success
     fraction, which fluctuates binomially around the exact value.
     """
-    phi = _normalize_phase(phi)
+    phi = phi % 1.0
     dist = phase_distribution(phi, m, d)
     mask = _success_mask(np.array([phi]), m)[0]
     if shots is None:
@@ -242,6 +239,8 @@ def success_probability(phi: float, m: int, d: int, shots: int | None = None,
 
 def mean_success_probability(phis: np.ndarray, m: int, d: int) -> float:
     """Exact success probability averaged over a phase sample."""
+    if m > SCAN_MAX_QUBITS:
+        raise ValueError(f"success scans are limited to m <= {SCAN_MAX_QUBITS}")
     phis = np.asarray(phis, dtype=np.float64) % 1.0
     dists = phase_distributions(phis, m, d)
     mask = _success_mask(phis, m)

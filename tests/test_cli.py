@@ -1,12 +1,17 @@
+import contextlib
 import csv
 import io
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tqft import cli
+from tqft import cli, qpe
 from tqft.calibration import cliff_depth, crossover_error_rate, error_budget
 from tqft.circuits import gate_count, parse_plan, plan_truncated_qft
 from tqft.cli import (
@@ -118,6 +123,22 @@ def test_usage_error_exit_codes(tmp_path, capsys):
     ["gates", "--m", "4", "--d", "9"],
     ["tvd", "--m", "4,5", "--d", "6", "--phases", "8", "--grid", "0"],
     ["cliff", "--m", "4", "--d", "9", "--phases", "grid:8"],
+    ["tvd", "--m", "4", "--d", "0", "--phases", "8", "--grid", "0"],
+    ["tvd", "--m", "4,13", "--phases", "8", "--grid", "0"],
+    ["cliff", "--m", "4", "--d", "0", "--phases", "grid:8"],
+    ["cliff", "--m", "13", "--d", "1", "--phases", "grid:4"],
+    ["gates", "--m", "4", "--d", "0"],
+    ["plan", "--m", "4", "--d", "5"],
+    ["tfim", "--m", "25"],
+    ["tfim", "--n", "11"],
+    ["tfim", "--n", "4", "--m", "8", "--state", "99"],
+    ["tfim", "--n", "4", "--m", "8", "--shots", "0"],
+    ["tfim", "--n", "4", "--m", "8", "--d", "9"],
+    ["crossover", "--m", "16", "--c", "0"],
+    ["crossover", "--m", "16", "--d", "0"],
+    ["rmse", "--m", "8", "--c", "-1"],
+    ["platforms", "--m", "1"],
+    ["tfim", "--n", "4", "--J", "0", "--h", "0", "--spectrum", "2"],
 ], ids=" ".join)
 def test_empty_or_nonfinite_sweep_is_a_usage_error(argv, tmp_path, capsys):
     out = tmp_path / "artifact.csv"
@@ -130,6 +151,66 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
     assert main(["platforms", "--m", "30", "--file", str(tmp_path / "missing.csv")]) == 2
     payload = json.loads(capsys.readouterr().err.splitlines()[0])
     assert payload["error"] in ("FileNotFoundError", "OSError")
+
+
+def test_corrupted_distribution_is_a_numerical_failure(tmp_path, monkeypatch, capsys):
+    exact = qpe.phase_distributions
+    monkeypatch.setattr(qpe, "phase_distributions",
+                        lambda phis, m, d: 0.5 * exact(phis, m, d))
+    out = tmp_path / "trial.csv"
+    assert main(["tfim", "--n", "4", "--m", "8", "--out", str(out)]) == 2
+    assert json.loads(capsys.readouterr().err.splitlines()[0])["error"] == "ArithmeticError"
+    assert not out.exists()
+
+
+_SIZES = st.integers(-2, 14)
+_DEPTHS = st.one_of(st.just("all"),
+                    st.lists(st.integers(-1, 14), min_size=1, max_size=3).map(
+                        lambda ds: ",".join(map(str, ds))))
+_NOISE = st.sampled_from(["0", "-1", "1e-3", "0.033", "2", "nan", "inf"])
+
+
+@st.composite
+def _argvs(draw):
+    """A subcommand with drawn flag values, spelled --flag=value so that
+    negative values reach the checks instead of argparse."""
+    m, d, c = draw(_SIZES), draw(_DEPTHS), draw(_NOISE)
+    command = draw(st.sampled_from(["gates", "plan", "rmse", "crossover", "platforms",
+                                    "tvd", "cliff", "tfim"]))
+    if command == "gates":
+        flags = {"m": 3 * m, "d": d}
+    elif command == "plan":
+        flags = {"m": m, "d": draw(st.integers(-1, 14))}
+    elif command in ("rmse", "crossover"):
+        flags = {"m": m, "d": d, "c": c}
+    elif command == "platforms":
+        flags = {"m": m}
+    elif command in ("tvd", "cliff"):
+        flags = {"m": m, "d": d, "phases": draw(st.integers(-1, 3)),
+                 "grid": draw(st.integers(-1, 3))}
+    else:
+        flags = {"n": draw(st.sampled_from([-1, 0, 1, 2, 3, 4, 11, 12])), "c": c}
+        if draw(st.booleans()):
+            flags.update(m=m + 8, state=draw(st.integers(-1, 20)),
+                         d=draw(st.sampled_from(["full", "-1", "0", "3", "22"])),
+                         shots=draw(st.sampled_from([None, 0, 5])))
+        else:
+            flags["spectrum"] = draw(st.integers(-1, 20))
+    return [command] + [f"--{k}={v}" for k, v in flags.items() if v is not None]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(_argvs())
+def test_any_flag_value_exits_ok_or_usage_error(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "artifact.csv"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(argv + ["--out", str(out)])
+        assert code in (0, 1), err.getvalue()
+        if code == 1:
+            assert json.loads(err.getvalue().splitlines()[0])["error"] == "UsageError"
+            assert not out.exists()
 
 
 def test_bound_violation_exit_code(tmp_path, monkeypatch, capsys):

@@ -30,6 +30,8 @@ def test_spec_validation():
         TfimSpec(1)
     with pytest.raises(ValueError):
         TfimSpec(11)
+    with pytest.raises(ValueError):
+        TfimSpec(9)
 
 
 def test_hamiltonian_two_site_matrix():
