@@ -65,9 +65,9 @@ def tvd_bound(m: int, d: int, form: str = "tight") -> float:
     if m < 1 or not 1 <= d <= m:
         raise ValueError(f"need 1 <= d <= m, got d={d}, m={m}")
     if form == "tight":
-        return (m - d) * math.sin(math.pi / 2**d)
+        return (m - d) * math.sin(math.ldexp(math.pi, -d))
     if form == "loose":
-        return math.pi * (m - d) / 2**d
+        return math.ldexp(math.pi * (m - d), -d)
     raise ValueError(f"unknown bound form {form!r} (expected 'tight' or 'loose')")
 
 
@@ -120,15 +120,15 @@ def error_budget(m: int, d: int | None, eps_2q: float,
     """
     if m < 1:
         raise ValueError(f"register size must be >= 1, got {m}")
-    if eps_2q < 0.0:
-        raise ValueError(f"error rate must be >= 0, got {eps_2q}")
-    if c < 0.0:
-        raise ValueError(f"noise constant must be >= 0, got {c}")
+    if not 0.0 <= eps_2q < math.inf:
+        raise ValueError(f"error rate must be finite and >= 0, got {eps_2q}")
+    if not 0.0 <= c < math.inf:
+        raise ValueError(f"noise constant must be finite and >= 0, got {c}")
     if d is None:
         tv, gates = 0.0, gate_count(m, m)
     else:
         tv, gates = tvd_bound(m, d, form="loose"), gate_count(m, d)
-    precision = 1.0 / (3.0 * 4.0**m)
+    precision = math.ldexp(1.0 / 3.0, -2 * m)
     truncation = tv * tv / 3.0
     noise = (gates * eps_2q * c) ** 2
     return ErrorBudget(precision, truncation, noise, c,
@@ -142,8 +142,8 @@ def crossover_from_terms(tv: float, gates_full: int, gates_truncated: int, c: fl
     """
     if gates_full <= gates_truncated:
         raise ValueError("crossover needs a strictly smaller truncated gate count")
-    if c <= 0.0:
-        raise ValueError(f"noise constant must be > 0, got {c}")
+    if not 0.0 < c < math.inf:
+        raise ValueError(f"noise constant must be finite and > 0, got {c}")
     gap = math.sqrt(float(gates_full) ** 2 - float(gates_truncated) ** 2)
     return (tv / math.sqrt(3.0)) / (c * gap)
 
@@ -198,10 +198,12 @@ def load_platforms(path: str | Path) -> tuple[PlatformCalibration, ...]:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != ["name", "eps_2q"]:
             raise ValueError(f"platform registry {path} must have header 'name,eps_2q'")
-        platforms = tuple(
-            PlatformCalibration(row["name"].strip(), float(row["eps_2q"]))
-            for row in reader
-        )
+        platforms = []
+        for row in reader:
+            if None in row or None in row.values():
+                raise ValueError(f"platform registry {path} line {reader.line_num} "
+                                 f"must hold exactly the two fields name,eps_2q")
+            platforms.append(PlatformCalibration(row["name"].strip(), float(row["eps_2q"])))
     if not platforms:
         raise ValueError(f"platform registry {path} holds no records")
-    return platforms
+    return tuple(platforms)

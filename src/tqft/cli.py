@@ -13,8 +13,6 @@ Sweep flags accept small range expressions:
     --d all          every valid depth for the row's register size
     --eps 1e-4..1e-2:log8   8 log-spaced points, endpoints included
     --eps 1e-3..2e-3:lin5   5 evenly spaced points
-    --phases 500     500 seeded random phases
-    --phases grid:256        a 256-point uniform phase grid
 
 Exit codes: 0 success; 1 a flag value or input file that a check
 rejects (bad syntax, a value outside the domain of the study, a size
@@ -126,25 +124,13 @@ def parse_float_list(text: str) -> list[float]:
     return values
 
 
-def parse_phase_spec(text: str) -> tuple[int, int]:
-    """Returns (random_count, grid_points) for a --phases value."""
-    text = text.strip()
-    try:
-        if text.startswith("grid:"):
-            return 0, int(text[5:])
-        return int(text), 0
-    except ValueError as exc:
-        raise UsageError(f"bad phase spec {text!r} (want a count or grid:N)") from exc
-
-
 def _phase_sample(args) -> np.ndarray:
-    random_count, grid_points = parse_phase_spec(args.phases)
-    grid_points += getattr(args, "grid", 0)
+    """--phases seeded random phases, then a --grid point uniform grid."""
     parts = []
-    if random_count:
-        parts.append(random_phases(random_count, args.seed))
-    if grid_points:
-        parts.append(grid_phases(grid_points))
+    if args.phases:
+        parts.append(random_phases(args.phases, args.seed))
+    if args.grid:
+        parts.append(grid_phases(args.grid))
     if not parts:
         raise UsageError("phase sample is empty; pass --phases and/or --grid")
     return np.concatenate(parts)
@@ -186,8 +172,10 @@ def _config_dict(args) -> dict:
     return config
 
 
-def _render(args, columns: list[str], rows: list[dict]) -> str:
+def _render(args, rows: list[dict]) -> str:
+    """The artifact text; its columns are the keys of the first row."""
     config = _config_dict(args)
+    columns = list(rows[0])
     if args.format == "json":
         doc = {
             "tool": "tqft",
@@ -228,8 +216,8 @@ def _write_text(args, text: str):
         path.write_text(text)
 
 
-def _emit(args, columns: list[str], rows: list[dict]) -> int:
-    _write_text(args, _render(args, columns, rows))
+def _emit(args, rows: list[dict]) -> int:
+    _write_text(args, _render(args, rows))
     return EXIT_OK
 
 
@@ -250,7 +238,7 @@ def cmd_tvd(args) -> int:
             violated = violated or max_tv > tight
             rows.append({"m": m, "d": d, "max_tv": max_tv, "bound_tight": tight,
                          "bound_loose": loose, "ratio": ratio})
-    _emit(args, ["m", "d", "max_tv", "bound_tight", "bound_loose", "ratio"], rows)
+    _emit(args, rows)
     if violated:
         print(json.dumps({"error": "BoundViolation",
                           "message": "max TVD exceeded the tight truncation bound"}),
@@ -269,13 +257,11 @@ def cmd_gates(args) -> int:
             reduction = 100.0 * (1.0 - gates / full) if full else 0.0
             rows.append({"m": m, "d": d, "gates": gates, "gates_full": full,
                          "reduction_pct": reduction})
-    return _emit(args, ["m", "d", "gates", "gates_full", "reduction_pct"], rows)
+    return _emit(args, rows)
 
 
 def cmd_cliff(args) -> int:
     """Mean estimation success vs depth, around the collapse threshold."""
-    if args.shots < 1:
-        raise UsageError(f"--shots must be >= 1, got {args.shots}")
     sample = _phase_sample(args)
     rows = []
     for m, m_depths in _depths_for(args):
@@ -283,7 +269,7 @@ def cmd_cliff(args) -> int:
         for d in m_depths:
             exact = mean_success_probability(sample, m, d)
             sampled = None
-            if args.mode == "sampled":
+            if args.shots is not None:
                 rng = SplitMix64(args.seed).spawn(m * 64 + d)
                 hits = 0
                 for phi in sample:
@@ -294,8 +280,7 @@ def cmd_cliff(args) -> int:
                 sampled = hits / (args.shots * len(sample))
             rows.append({"m": m, "d": d, "success_exact": exact,
                          "success_sampled": sampled, "cliff_depth_marker": marker})
-    return _emit(args, ["m", "d", "success_exact", "success_sampled",
-                        "cliff_depth_marker"], rows)
+    return _emit(args, rows)
 
 
 def cmd_platforms(args) -> int:
@@ -307,8 +292,7 @@ def cmd_platforms(args) -> int:
          "reduction_pct": 100.0 * row.reduction, "clamped": row.clamped}
         for row in platform_report(args.m, platforms)
     ]
-    return _emit(args, ["name", "eps_2q", "depth", "gates_truncated", "gates_full",
-                        "reduction_pct", "clamped"], rows)
+    return _emit(args, rows)
 
 
 def cmd_rmse(args) -> int:
@@ -331,8 +315,7 @@ def cmd_rmse(args) -> int:
                 "gates_full": gate_count(args.m, args.m),
                 "rmse_truncated": truncated.rmse, "rmse_full": full.rmse,
             })
-    return _emit(args, ["m", "d", "eps_2q", "c", "tv_bound", "gates", "gates_full",
-                        "rmse_truncated", "rmse_full"], rows)
+    return _emit(args, rows)
 
 
 def cmd_crossover(args) -> int:
@@ -351,8 +334,7 @@ def cmd_crossover(args) -> int:
             "gates_full": gate_count(args.m, args.m),
             "crossover_eps": crossover_error_rate(args.m, d, args.c),
         })
-    return _emit(args, ["m", "d", "c", "tv_bound", "gates_truncated", "gates_full",
-                        "crossover_eps"], rows)
+    return _emit(args, rows)
 
 
 def cmd_tfim(args) -> int:
@@ -369,7 +351,7 @@ def cmd_tfim(args) -> int:
             rows.append({"n": spec.n, "j": spec.j, "h": spec.h, "index": index,
                          "energy": float(eigenvalues[index]), "phi": encoded.phi,
                          "wrapped": encoded.wrapped})
-        return _emit(args, ["n", "j", "h", "index", "energy", "phi", "wrapped"], rows)
+        return _emit(args, rows)
 
     depth = None if args.d in (None, "full") else int(args.d)
     result = qpe_energy_experiment(spec, args.m, depth, eps_2q=args.eps, c=args.c,
@@ -383,7 +365,7 @@ def cmd_tfim(args) -> int:
         "model_rmse": result.budget.rmse, "shots": result.shots,
         "sampled_phase_rmse": result.sampled_phase_rmse,
     }
-    return _emit(args, list(row.keys()), [row])
+    return _emit(args, [row])
 
 
 def cmd_plan(args) -> int:
@@ -441,9 +423,10 @@ def build_parser() -> _Parser:
     tvd = subs.add_parser("tvd", help="max TVD of truncation vs the analytic bounds")
     tvd.add_argument("--m", required=True, help="register sizes (range expression)")
     tvd.add_argument("--d", default="all", help="depths (range expression or 'all')")
-    tvd.add_argument("--phases", default="500", help="random count or grid:N")
+    tvd.add_argument("--phases", type=int, default=500,
+                     help="seeded random phases (default 500)")
     tvd.add_argument("--grid", type=int, default=4096,
-                     help="extra uniform grid points (default 4096)")
+                     help="uniform grid points after them (default 4096)")
     tvd.add_argument("--seed", type=int, default=42)
     _add_output_flags(tvd)
     tvd.set_defaults(func=cmd_tvd)
@@ -457,12 +440,13 @@ def build_parser() -> _Parser:
     cliff = subs.add_parser("cliff", help="mean success vs depth (collapse curve)")
     cliff.add_argument("--m", required=True)
     cliff.add_argument("--d", default="all")
-    cliff.add_argument("--mode", choices=["exact", "sampled"], default="exact")
-    cliff.add_argument("--phases", default="grid:256", help="random count or grid:N")
-    cliff.add_argument("--grid", type=int, default=0,
-                       help="extra uniform grid points (default 0)")
-    cliff.add_argument("--shots", type=int, default=1000,
-                       help="shots per (m, d, phase) in sampled mode")
+    cliff.add_argument("--phases", type=int, default=0,
+                       help="seeded random phases (default 0)")
+    cliff.add_argument("--grid", type=int, default=256,
+                       help="uniform grid points after them (default 256)")
+    cliff.add_argument("--shots", type=int, default=None,
+                       help="add a sampled-success column with this many shots "
+                            "per (m, d, phase)")
     cliff.add_argument("--seed", type=int, default=42)
     _add_output_flags(cliff)
     cliff.set_defaults(func=cmd_cliff)

@@ -106,6 +106,24 @@ def test_error_budget_terms():
         error_budget(m, 0, eps)
     with pytest.raises(ValueError):
         error_budget(m, d, -1e-4)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            error_budget(m, d, bad)
+        with pytest.raises(ValueError):
+            error_budget(m, d, eps, bad)
+
+
+def test_power_of_two_terms_extend_past_float_range():
+    # bit for bit the direct forms wherever those stay in float range
+    for m in range(1, 511):
+        assert error_budget(m, None, 0.0).precision_term == 1.0 / (3.0 * 4.0**m)
+    for d in range(1, 1024):
+        assert tvd_bound(1024, d, form="loose") == math.pi * (1024 - d) / 2**d
+        assert tvd_bound(1024, d, form="tight") == (1024 - d) * math.sin(math.pi / 2**d)
+    # beyond it they round to 0 instead of overflowing
+    assert error_budget(600, 1, 1e-3).precision_term == 0.0
+    assert tvd_bound(2000, 1500, form="loose") == 0.0
+    assert crossover_error_rate(2000, 1500) == 0.0
 
 
 def test_crossover_reference_value():
@@ -118,6 +136,9 @@ def test_crossover_reference_value():
         crossover_error_rate(16, 16)
     with pytest.raises(ValueError):
         crossover_from_terms(0.01, 100, 100, 0.033)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            crossover_from_terms(0.01, 120, 90, bad)
 
 
 def test_crossover_is_the_rmse_equality_point():
@@ -178,3 +199,11 @@ def test_load_platforms_roundtrip(tmp_path):
     empty.write_text("name,eps_2q\n")
     with pytest.raises(ValueError):
         load_platforms(empty)
+
+
+@pytest.mark.parametrize("body", ["foo\n", "foo,1e-3,extra\n"], ids=["missing", "extra"])
+def test_load_platforms_rejects_malformed_rows(tmp_path, body):
+    path = tmp_path / "registry.csv"
+    path.write_text("name,eps_2q\nTestbed A,1e-3\n" + body)
+    with pytest.raises(ValueError, match="line 3"):
+        load_platforms(path)

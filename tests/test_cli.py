@@ -19,7 +19,6 @@ from tqft.cli import (
     main,
     parse_float_list,
     parse_int_list,
-    parse_phase_spec,
 )
 from tqft.qpe import grid_phases, mean_success_probability
 
@@ -54,14 +53,6 @@ def test_parse_float_list():
     for bad in ("a", "1..2:geo5", "1..-1:log4", "1..2:log"):
         with pytest.raises(UsageError):
             parse_float_list(bad)
-
-
-def test_parse_phase_spec():
-    assert parse_phase_spec("500") == (500, 0)
-    assert parse_phase_spec("grid:256") == (0, 256)
-    for bad in ("grid:x", "abc", "grid:"):
-        with pytest.raises(UsageError):
-            parse_phase_spec(bad)
 
 
 def test_gates_artifact(tmp_path):
@@ -122,11 +113,11 @@ def test_usage_error_exit_codes(tmp_path, capsys):
     ["crossover", "--m", "1"],
     ["gates", "--m", "4", "--d", "9"],
     ["tvd", "--m", "4,5", "--d", "6", "--phases", "8", "--grid", "0"],
-    ["cliff", "--m", "4", "--d", "9", "--phases", "grid:8"],
+    ["cliff", "--m", "4", "--d", "9", "--grid", "8"],
     ["tvd", "--m", "4", "--d", "0", "--phases", "8", "--grid", "0"],
     ["tvd", "--m", "4,13", "--phases", "8", "--grid", "0"],
-    ["cliff", "--m", "4", "--d", "0", "--phases", "grid:8"],
-    ["cliff", "--m", "13", "--d", "1", "--phases", "grid:4"],
+    ["cliff", "--m", "4", "--d", "0", "--grid", "8"],
+    ["cliff", "--m", "13", "--d", "1", "--grid", "4"],
     ["gates", "--m", "4", "--d", "0"],
     ["plan", "--m", "4", "--d", "5"],
     ["tfim", "--m", "25"],
@@ -139,11 +130,40 @@ def test_usage_error_exit_codes(tmp_path, capsys):
     ["rmse", "--m", "8", "--c", "-1"],
     ["platforms", "--m", "1"],
     ["tfim", "--n", "4", "--J", "0", "--h", "0", "--spectrum", "2"],
+    ["cliff", "--m", "4", "--d", "1", "--phases", "0", "--grid", "4", "--shots", "0"],
+    ["rmse", "--m", "8", "--d", "3", "--eps", "1e-3", "--c", "nan"],
+    ["crossover", "--m", "16", "--d", "11", "--c", "nan"],
+    ["tfim", "--n", "4", "--m", "8", "--eps", "nan"],
+    ["tfim", "--n", "4", "--h", "inf", "--m", "6"],
+    ["tfim", "--n", "4", "--J", "nan"],
 ], ids=" ".join)
 def test_empty_or_nonfinite_sweep_is_a_usage_error(argv, tmp_path, capsys):
     out = tmp_path / "artifact.csv"
     assert main(argv + ["--out", str(out)]) == 1
     assert json.loads(capsys.readouterr().err.splitlines()[0])["error"] == "UsageError"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["rmse", "--m", "600", "--d", "1"],
+    ["crossover", "--m", "2000", "--d", "1500"],
+], ids=" ".join)
+def test_large_register_rows_are_finite(argv, tmp_path):
+    out = tmp_path / "artifact.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    _, rows = read_artifact(out)
+    assert rows
+    assert all(math.isfinite(float(cell)) for row in rows for cell in row.values())
+
+
+def test_malformed_registry_is_a_usage_error(tmp_path, capsys):
+    registry = tmp_path / "registry.csv"
+    registry.write_text("name,eps_2q\nfoo\n")
+    out = tmp_path / "platforms.csv"
+    assert main(["platforms", "--m", "30", "--file", str(registry), "--out", str(out)]) == 1
+    payload = json.loads(capsys.readouterr().err.splitlines()[0])
+    assert payload["error"] == "UsageError"
+    assert "line 2" in payload["message"]
     assert not out.exists()
 
 
@@ -302,29 +322,29 @@ def test_crossover_row(tmp_path):
 
 def test_cliff_rows(tmp_path):
     out = tmp_path / "cliff.csv"
-    assert main(["cliff", "--m", "8", "--d", "1,5,8", "--phases", "grid:32",
+    assert main(["cliff", "--m", "8", "--d", "1,5,8", "--grid", "32",
                  "--out", str(out)]) == 0
     _, rows = read_artifact(out)
     phis = grid_phases(32)
     for row in rows:
         assert int(row["cliff_depth_marker"]) == cliff_depth(8)
-        assert row["success_sampled"] == ""  # exact mode leaves it blank
+        assert row["success_sampled"] == ""  # blank without --shots
         expected = mean_success_probability(phis, 8, int(row["d"]))
         assert float(row["success_exact"]) == pytest.approx(expected, rel=1e-12)
 
 
 def test_cliff_sampled_mode(tmp_path):
     out = tmp_path / "cliff.csv"
-    assert main(["cliff", "--m", "6", "--d", "2,6", "--mode", "sampled",
-                 "--phases", "grid:16", "--shots", "400", "--out", str(out)]) == 0
+    assert main(["cliff", "--m", "6", "--d", "2,6",
+                 "--grid", "16", "--shots", "400", "--out", str(out)]) == 0
     _, rows = read_artifact(out)
     for row in rows:
         sampled = float(row["success_sampled"])
         assert abs(sampled - float(row["success_exact"])) < 0.1
     # deterministic under a fixed seed
     again = tmp_path / "cliff2.csv"
-    assert main(["cliff", "--m", "6", "--d", "2,6", "--mode", "sampled",
-                 "--phases", "grid:16", "--shots", "400", "--out", str(again)]) == 0
+    assert main(["cliff", "--m", "6", "--d", "2,6",
+                 "--grid", "16", "--shots", "400", "--out", str(again)]) == 0
     assert out.read_bytes() == again.read_bytes()
 
 

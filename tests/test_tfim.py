@@ -32,6 +32,9 @@ def test_spec_validation():
         TfimSpec(11)
     with pytest.raises(ValueError):
         TfimSpec(9)
+    for j, h in ((math.nan, 0.5), (1.0, math.inf), (-math.inf, 0.5)):
+        with pytest.raises(ValueError):
+            TfimSpec(4, j, h)
 
 
 def test_hamiltonian_two_site_matrix():
