@@ -15,7 +15,6 @@ from .calibration import (
     PlatformRow,
     cliff_depth,
     crossover_error_rate,
-    crossover_from_terms,
     equal_budget_depth,
     error_budget,
     load_platforms,
@@ -54,7 +53,6 @@ from .qpe import (
     random_phases,
     sample_outcomes,
     success_probability,
-    tvd,
 )
 from .tfim import (
     EncodedPhase,
@@ -63,7 +61,6 @@ from .tfim import (
     build_hamiltonian,
     decode_phase,
     encode_phase,
-    ground_energy,
     qpe_energy_experiment,
     spectrum,
 )
@@ -97,7 +94,6 @@ __all__ = [
     "random_phases",
     "sample_outcomes",
     "success_probability",
-    "tvd",
     "DEFAULT_NOISE_CONSTANT",
     "DEFAULT_PLATFORMS",
     "ErrorBudget",
@@ -105,7 +101,6 @@ __all__ = [
     "PlatformRow",
     "cliff_depth",
     "crossover_error_rate",
-    "crossover_from_terms",
     "equal_budget_depth",
     "error_budget",
     "load_platforms",
@@ -118,7 +113,6 @@ __all__ = [
     "build_hamiltonian",
     "decode_phase",
     "encode_phase",
-    "ground_energy",
     "qpe_energy_experiment",
     "spectrum",
     "__version__",

@@ -9,7 +9,8 @@ angle drops below the gate error, giving
 
 Around it sit the truncation-error bound, the failure-budget depth, the
 success-collapse depth, the three-term RMSE model, and the noise threshold
-above which the truncated circuit beats the full one.
+above which the truncated circuit beats the full one. Each is one
+closed-form function of (m, d) and, where it applies, the error rate.
 """
 
 from __future__ import annotations
@@ -135,26 +136,20 @@ def error_budget(m: int, d: int | None, eps_2q: float,
                        math.sqrt(precision + truncation + noise))
 
 
-def crossover_from_terms(tv: float, gates_full: int, gates_truncated: int, c: float) -> float:
-    """Error rate where full and truncated RMSE curves meet, from raw terms:
-
-        eps = (TV / sqrt(3)) / (c * sqrt(G_full^2 - G_trunc^2)).
-    """
-    if gates_full <= gates_truncated:
-        raise ValueError("crossover needs a strictly smaller truncated gate count")
-    if not 0.0 < c < math.inf:
-        raise ValueError(f"noise constant must be finite and > 0, got {c}")
-    gap = math.sqrt(float(gates_full) ** 2 - float(gates_truncated) ** 2)
-    return (tv / math.sqrt(3.0)) / (c * gap)
-
-
 def crossover_error_rate(m: int, d: int, c: float = DEFAULT_NOISE_CONSTANT) -> float:
     """Noise threshold above which the depth-d circuit has lower model RMSE
-    than the full circuit. Undefined at d = m (no gate-count gap)."""
+    than the full circuit, where the two RMSE curves meet:
+
+        eps = (TV / sqrt(3)) / (c * sqrt(G_full^2 - G_trunc^2)),  TV = pi*(m-d)/2^d.
+
+    Undefined at d = m (no gate-count gap).
+    """
     if not 1 <= d < m:
         raise ValueError(f"crossover needs 1 <= d < m, got d={d}, m={m}")
-    return crossover_from_terms(tvd_bound(m, d, form="loose"), gate_count(m, m),
-                                gate_count(m, d), c)
+    if not 0.0 < c < math.inf:
+        raise ValueError(f"noise constant must be finite and > 0, got {c}")
+    gap = math.sqrt(float(gate_count(m, m)) ** 2 - float(gate_count(m, d)) ** 2)
+    return (tvd_bound(m, d, form="loose") / math.sqrt(3.0)) / (c * gap)
 
 
 @dataclass(frozen=True)

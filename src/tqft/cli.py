@@ -14,6 +14,11 @@ Sweep flags accept small range expressions:
     --eps 1e-4..1e-2:log8   8 log-spaced points, endpoints included
     --eps 1e-3..2e-3:lin5   5 evenly spaced points
 
+Phase samples (tvd, cliff) are --phases seeded random phases followed by
+a --grid point uniform grid; either count may be 0, but not both.
+`cliff --shots N` adds a sampled success column: N outcomes drawn from each
+phase's distribution and scored on the same window as the exact column.
+
 Exit codes: 0 success; 1 a flag value or input file that a check
 rejects (bad syntax, a value outside the domain of the study, a size
 beyond a cap); 2 a numerical failure or an unreadable file; 3 bound
@@ -37,9 +42,13 @@ from . import __version__
 from .calibration import (DEFAULT_NOISE_CONSTANT, cliff_depth, crossover_error_rate,
                           error_budget, load_platforms, platform_report, tvd_bound)
 from .circuits import gate_count, plan_truncated_qft, serialize_plan
-from .numerics import ConvergenceError, SplitMix64, circular_distance_array
-from .qpe import (grid_phases, max_tvd, mean_success_probability, phase_distribution,
-                  random_phases, sample_outcomes)
+from .numerics import ConvergenceError, SplitMix64
+from .numerics import circular_distance_array  # unused; perfbench/tracing.py patches it here
+from .qpe import default_phase_sample, max_tvd, mean_success_probability
+from .qpe import grid_phases  # unused; perfbench/tracing.py patches it here
+from .qpe import phase_distribution  # unused; perfbench/tracing.py patches it here
+from .qpe import random_phases  # unused; perfbench/tracing.py patches it here
+from .qpe import sample_outcomes  # unused; perfbench/tracing.py patches it here
 from .tfim import TfimSpec, encode_phase, qpe_energy_experiment, spectrum
 
 OUTPUT_DIR_ENV = "TQFT_OUTPUT_DIR"
@@ -122,18 +131,6 @@ def parse_float_list(text: str) -> list[float]:
     if not all(np.isfinite(values)):
         raise UsageError(f"float range {text!r} holds a non-finite value")
     return values
-
-
-def _phase_sample(args) -> np.ndarray:
-    """--phases seeded random phases, then a --grid point uniform grid."""
-    parts = []
-    if args.phases:
-        parts.append(random_phases(args.phases, args.seed))
-    if args.grid:
-        parts.append(grid_phases(args.grid))
-    if not parts:
-        raise UsageError("phase sample is empty; pass --phases and/or --grid")
-    return np.concatenate(parts)
 
 
 def _depths_for(args) -> list[tuple[int, list[int]]]:
@@ -227,11 +224,11 @@ def _emit(args, rows: list[dict]) -> int:
 
 def cmd_tvd(args) -> int:
     """Max TVD between truncated and full estimation vs the two bounds."""
-    sample = _phase_sample(args)
+    sample = default_phase_sample(args.seed, args.phases, args.grid)
     rows, violated = [], False
     for m, m_depths in _depths_for(args):
         for d in m_depths:
-            max_tv, _ = max_tvd(m, d, phases=sample)
+            max_tv, _ = max_tvd(m, d, sample)
             tight = tvd_bound(m, d, form="tight")
             loose = tvd_bound(m, d, form="loose")
             ratio = max_tv / loose if loose > 0.0 else 0.0
@@ -262,7 +259,7 @@ def cmd_gates(args) -> int:
 
 def cmd_cliff(args) -> int:
     """Mean estimation success vs depth, around the collapse threshold."""
-    sample = _phase_sample(args)
+    sample = default_phase_sample(args.seed, args.phases, args.grid)
     rows = []
     for m, m_depths in _depths_for(args):
         marker = cliff_depth(m)
@@ -270,14 +267,8 @@ def cmd_cliff(args) -> int:
             exact = mean_success_probability(sample, m, d)
             sampled = None
             if args.shots is not None:
-                rng = SplitMix64(args.seed).spawn(m * 64 + d)
-                hits = 0
-                for phi in sample:
-                    dist = phase_distribution(float(phi), m, d)
-                    outcomes = sample_outcomes(dist, args.shots, rng)
-                    deviation = circular_distance_array(outcomes / dist.dim, float(phi))
-                    hits += int(np.count_nonzero(deviation <= 2.0**-m))
-                sampled = hits / (args.shots * len(sample))
+                sampled = mean_success_probability(sample, m, d, args.shots,
+                                                   SplitMix64(args.seed).spawn(m * 64 + d))
             rows.append({"m": m, "d": d, "success_exact": exact,
                          "success_sampled": sampled, "cliff_depth_marker": marker})
     return _emit(args, rows)

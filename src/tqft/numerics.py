@@ -82,9 +82,6 @@ class SplitMix64:
     def random(self) -> float:
         return (self.next_u64() >> 11) * 2.0**-53
 
-    def uniform(self, low: float, high: float) -> float:
-        return low + (high - low) * self.random()
-
     def next_u64_array(self, n: int) -> np.ndarray:
         """Vectorized batch; continues the stream exactly like next_u64."""
         counters = np.arange(self._counter + 1, self._counter + n + 1, dtype=np.uint64)

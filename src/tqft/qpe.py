@@ -15,7 +15,10 @@ of the outcome y:
     P(y | phi) = prod_j cos^2(pi * (frac(2^j phi) - sum_{k=1}^{min(d, m-j)} y_{j+k-1} / 2^k))
 
 phase_distributions evaluates it for a batch of phases at O(2^m) real
-multiplies per phase. The gate-by-gate statevector simulation of the plan
+multiplies per phase, and is the one owner of the phase-array checks
+(non-empty, finite). Every quantity is read from its rows: max_tvd reduces
+two tables, and mean_success_probability sums (or samples, with shots) the
+success window of one. The gate-by-gate statevector simulation of the plan
 (_statevector_distributions) is kept as its test oracle, next to the
 closed-form full-depth kernel.
 """
@@ -49,10 +52,11 @@ class PhaseDistribution:
         p = np.ascontiguousarray(self.probs, dtype=np.float64)
         if p.shape != (1 << self.m,):
             raise ValueError(f"expected {1 << self.m} outcome probabilities, got {p.shape}")
-        if p.min() < 0.0 or p.max() > 1.0 + 1e-12:
+        # Written so that a NaN entry, which fails every comparison, fails too.
+        if not (p.min() >= 0.0 and p.max() <= 1.0 + 1e-12):
             raise ValueError("probabilities outside [0, 1]")
         total = float(p.sum())
-        if abs(total - 1.0) > 1e-10:
+        if not abs(total - 1.0) <= 1e-10:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
         p.setflags(write=False)
         object.__setattr__(self, "probs", p)
@@ -72,7 +76,10 @@ def phase_distribution(phi: float, m: int, d: int) -> PhaseDistribution:
     A computed row that fails the PhaseDistribution check is a numerical
     failure, not a bad argument, so it is raised as ArithmeticError.
     """
-    probs = phase_distributions(np.array([float(phi)]), m, d)[0]
+    return _checked(phase_distributions(np.array([float(phi)]), m, d)[0], m, d)
+
+
+def _checked(probs: np.ndarray, m: int, d: int) -> PhaseDistribution:
     try:
         return PhaseDistribution(m, probs)
     except ValueError as exc:
@@ -85,12 +92,18 @@ def phase_distributions(phis: np.ndarray, m: int, d: int) -> np.ndarray:
     Builds each row bit by bit from the least significant outcome bit up:
     stage j multiplies the table over y_(j+1)..y_(m-1) by the cos^2 factor
     of qubit j, which depends on the top min(d, m-j) bits of y_j..y_(m-1).
-    Chunks the phase batch to bound peak memory.
+    Chunks the phase batch to bound peak memory. An empty or non-finite
+    phase array is a bad argument (ValueError).
     """
     if m > DIST_MAX_QUBITS:
         raise ValueError(f"distribution experiments are limited to m <= {DIST_MAX_QUBITS}")
     plan_truncated_qft(m, d)  # validates (m, d)
-    phis = np.asarray(phis, dtype=np.float64) % 1.0
+    phis = np.asarray(phis, dtype=np.float64)
+    if phis.size == 0:
+        raise ValueError("empty phase sample")
+    if not np.isfinite(phis).all():
+        raise ValueError("phase sample holds a non-finite value")
+    phis = phis % 1.0
     n = 1 << m
     out = np.empty((len(phis), n))
     chunk = max(1, (1 << 22) // n)
@@ -162,50 +175,38 @@ def closed_form_full_distribution(phi: float, m: int) -> PhaseDistribution:
     return PhaseDistribution(m, probs)
 
 
-def tvd(p: PhaseDistribution, q: PhaseDistribution) -> float:
-    """Total variation distance (1/2) * sum |p - q|, in [0, 1]."""
-    if p.m != q.m:
-        raise ValueError(f"distributions have different register sizes ({p.m} vs {q.m})")
-    return 0.5 * float(np.abs(p.probs - q.probs).sum())
-
-
 def random_phases(count: int, seed: int) -> np.ndarray:
     """`count` phases drawn uniformly from [0, 1) with the package PRNG."""
-    if count < 1:
-        raise ValueError(f"phase count must be >= 1, got {count}")
+    if count < 0:
+        raise ValueError(f"phase count must be >= 0, got {count}")
     return SplitMix64(seed).random_array(count)
 
 
 def grid_phases(points: int) -> np.ndarray:
     """Uniform grid 0, 1/points, ..., (points-1)/points."""
-    if points < 1:
-        raise ValueError(f"grid must hold >= 1 points, got {points}")
+    if points < 0:
+        raise ValueError(f"grid must hold >= 0 points, got {points}")
     return np.arange(points) / points
 
 
 def default_phase_sample(seed: int = 42, count: int = 500, grid: int = 4096) -> np.ndarray:
-    """Union of seeded random phases and a uniform grid.
+    """`count` seeded random phases, then a `grid`-point uniform grid.
 
     Random-only sampling makes the observed maximum depend on the
     generator; the grid pins it down for reproducible acceptance checks.
+    Either count may be 0; an empty sample is rejected where it is used.
     """
     return np.concatenate([random_phases(count, seed), grid_phases(grid)])
 
 
-def max_tvd(m: int, d: int, phases: np.ndarray | None = None,
-            seed: int = 42) -> tuple[float, float]:
+def max_tvd(m: int, d: int, phases: np.ndarray) -> tuple[float, float]:
     """Largest TVD between full and depth-d outcome distributions over a sample.
 
-    Returns (max value, argmax phase). With phases=None the default
-    random-plus-grid sample is scanned.
+    Returns (max value, argmax phase).
     """
     if m > SCAN_MAX_QUBITS:
         raise ValueError(f"dense TVD scans are limited to m <= {SCAN_MAX_QUBITS}")
-    if phases is None:
-        phases = default_phase_sample(seed)
     phases = np.asarray(phases, dtype=np.float64)
-    if phases.size == 0:
-        raise ValueError("empty phase sample")
     diff = phase_distributions(phases, m, m)
     diff -= phase_distributions(phases, m, d)
     tv = 0.5 * np.abs(diff, out=diff).sum(axis=1)
@@ -220,31 +221,32 @@ def _success_mask(phis: np.ndarray, m: int) -> np.ndarray:
     return dist <= 2.0**-m
 
 
-def success_probability(phi: float, m: int, d: int, shots: int | None = None,
-                        seed: int = 0) -> float:
-    """Probability that the estimate lands within 2^-m (circular) of phi.
+def success_probability(phi: float, m: int, d: int) -> float:
+    """Probability that the estimate lands within 2^-m (circular) of phi."""
+    return mean_success_probability(np.array([float(phi)]), m, d)
 
-    Exact mode (shots=None) sums the outcome distribution over the success
-    window. Sampled mode draws `shots` outcomes and reports the success
-    fraction, which fluctuates binomially around the exact value.
+
+def mean_success_probability(phis: np.ndarray, m: int, d: int, shots: int | None = None,
+                             rng: SplitMix64 | None = None) -> float:
+    """Success probability averaged over a phase sample.
+
+    Exact mode (shots=None) sums each outcome row over the success window.
+    Sampled mode draws `shots` outcomes from each row in turn with `rng`
+    and reports the success fraction over all draws, which fluctuates
+    binomially around the exact value. A sampled row that fails the
+    PhaseDistribution check is raised as ArithmeticError.
     """
-    phi = phi % 1.0
-    dist = phase_distribution(phi, m, d)
-    mask = _success_mask(np.array([phi]), m)[0]
-    if shots is None:
-        return float(dist.probs[mask].sum())
-    outcomes = sample_outcomes(dist, shots, SplitMix64(seed))
-    return float(mask[outcomes].mean())
-
-
-def mean_success_probability(phis: np.ndarray, m: int, d: int) -> float:
-    """Exact success probability averaged over a phase sample."""
     if m > SCAN_MAX_QUBITS:
         raise ValueError(f"success scans are limited to m <= {SCAN_MAX_QUBITS}")
-    phis = np.asarray(phis, dtype=np.float64) % 1.0
     dists = phase_distributions(phis, m, d)
-    mask = _success_mask(phis, m)
-    return float(np.where(mask, dists, 0.0).sum(axis=1).mean())
+    mask = _success_mask(np.asarray(phis, dtype=np.float64), m)
+    if shots is None:
+        return float(np.where(mask, dists, 0.0).sum(axis=1).mean())
+    hits = 0
+    for row, window in zip(dists, mask):
+        outcomes = sample_outcomes(_checked(row, m, d), shots, rng)
+        hits += int(np.count_nonzero(window[outcomes]))
+    return hits / (shots * len(dists))
 
 
 def sample_outcomes(dist: PhaseDistribution, shots: int, rng: SplitMix64) -> np.ndarray:

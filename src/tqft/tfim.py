@@ -79,10 +79,6 @@ def spectrum(spec: TfimSpec) -> tuple[np.ndarray, np.ndarray]:
     return jacobi_eigh(build_hamiltonian(spec))
 
 
-def ground_energy(spec: TfimSpec) -> float:
-    return float(spectrum(spec)[0][0])
-
-
 @dataclass(frozen=True)
 class EncodedPhase:
     """An eigenvalue rescaled into [0, 1) for phase estimation.

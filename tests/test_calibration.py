@@ -8,7 +8,6 @@ from tqft.calibration import (
     PlatformCalibration,
     cliff_depth,
     crossover_error_rate,
-    crossover_from_terms,
     equal_budget_depth,
     error_budget,
     load_platforms,
@@ -129,16 +128,11 @@ def test_power_of_two_terms_extend_past_float_range():
 def test_crossover_reference_value():
     assert crossover_error_rate(16, 11, 0.033) == pytest.approx(2.3098217628895485e-3,
                                                                 rel=1e-12)
-    # raw-terms variant: same formula fed with explicit TV and gate counts
-    assert crossover_from_terms(0.046, 120, 90, 0.033) == pytest.approx(
-        0.010139417122076414, rel=1e-12)
     with pytest.raises(ValueError):
         crossover_error_rate(16, 16)
-    with pytest.raises(ValueError):
-        crossover_from_terms(0.01, 100, 100, 0.033)
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError):
-            crossover_from_terms(0.01, 120, 90, bad)
+            crossover_error_rate(16, 11, c=bad)
 
 
 def test_crossover_is_the_rmse_equality_point():

@@ -348,6 +348,16 @@ def test_cliff_sampled_mode(tmp_path):
     assert out.read_bytes() == again.read_bytes()
 
 
+def test_cliff_sampled_stream_is_pinned(tmp_path):
+    out = tmp_path / "cliff.csv"
+    assert main(["cliff", "--m", "5", "--d", "all", "--phases", "7", "--grid", "5",
+                 "--shots", "50", "--seed", "3", "--out", str(out)]) == 0
+    _, rows = read_artifact(out)
+    assert [row["success_sampled"] for row in rows] == [
+        "0.21833333333333332", "0.62333333333333329", "0.83833333333333337",
+        "0.8783333333333333", "0.8666666666666667"]
+
+
 def test_repeat_runs_byte_identical(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     argv = ["tvd", "--m", "4,5", "--d", "all", "--phases", "40", "--grid", "32"]

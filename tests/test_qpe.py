@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from tqft import qpe
 from tqft.circuits import plan_truncated_qft, plan_unitary
 from tqft.numerics import SplitMix64, circular_distance
 from tqft.qpe import (
@@ -19,7 +20,6 @@ from tqft.qpe import (
     random_phases,
     sample_outcomes,
     success_probability,
-    tvd,
 )
 
 
@@ -67,6 +67,42 @@ def test_phase_distribution_validation():
         PhaseDistribution(2, np.array([0.5, 0.5]))  # wrong length
     with pytest.raises(ValueError):
         PhaseDistribution(1, np.array([0.9, 0.3]))  # not normalized
+    for probs in ([math.nan, 1.0], [0.0, math.nan], [math.nan, math.nan]):
+        with pytest.raises(ValueError):
+            PhaseDistribution(1, np.array(probs))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_nonfinite_phase_is_a_bad_argument(bad):
+    with pytest.raises(ValueError):
+        phase_distributions(np.array([0.1, bad]), 4, 4)
+    with pytest.raises(ValueError):
+        phase_distribution(bad, 4, 4)
+    with pytest.raises(ValueError):
+        success_probability(bad, 4, 4)
+    with pytest.raises(ValueError):
+        mean_success_probability([0.1, bad], 4, 4, 10, SplitMix64(1))
+    with pytest.raises(ValueError):
+        max_tvd(4, 2, [0.1, bad])
+    with pytest.raises(ValueError):
+        closed_form_full_distribution(bad, 4)
+
+
+def test_empty_phase_sample_is_a_bad_argument():
+    empty = default_phase_sample(3, 0, 0)
+    assert empty.shape == (0,)
+    with pytest.raises(ValueError):
+        phase_distributions(empty, 4, 2)
+    with pytest.raises(ValueError):
+        mean_success_probability(empty, 4, 2)
+
+
+def test_sampled_row_failing_its_check_is_a_numerical_failure(monkeypatch):
+    exact = qpe.phase_distributions
+    monkeypatch.setattr(qpe, "phase_distributions",
+                        lambda phis, m, d: np.full_like(exact(phis, m, d), math.nan))
+    with pytest.raises(ArithmeticError):
+        mean_success_probability([0.3], 4, 4, 10, SplitMix64(1))
 
 
 def test_batch_distributions_match_single():
@@ -102,19 +138,9 @@ def test_product_formula_matches_statevector_large_registers(m):
         _assert_matches_statevector(phis, m, d)
 
 
-def test_tvd_basics():
-    p = phase_distribution(0.3, 4, 4)
-    q = phase_distribution(0.3, 4, 2)
-    assert tvd(p, p) == 0.0
-    assert tvd(p, q) == tvd(q, p)
-    assert 0.0 <= tvd(p, q) <= 1.0
-    with pytest.raises(ValueError):
-        tvd(p, phase_distribution(0.3, 5, 5))
-
-
 def test_max_tvd_zero_at_full_depth():
     for m in (4, 5, 6):
-        worst, _ = max_tvd(m, m)
+        worst, _ = max_tvd(m, m, default_phase_sample())
         assert worst == 0.0
 
 
@@ -133,7 +159,7 @@ def test_max_tvd_frozen_values():
         assert worst == pytest.approx(value, rel=1e-9)
         assert 0.0 <= arg < 1.0
     with pytest.raises(ValueError):
-        max_tvd(13, 5)
+        max_tvd(13, 5, default_phase_sample())
     with pytest.raises(ValueError):
         max_tvd(4, 2, phases=np.array([]))
 
@@ -191,11 +217,11 @@ def test_mean_success_monotone_toward_full():
 def test_sampled_success_tracks_exact():
     phi, m, d, shots = 0.3, 5, 5, 10_000
     exact = success_probability(phi, m, d)
-    sampled = success_probability(phi, m, d, shots=shots, seed=11)
+    sampled = mean_success_probability([phi], m, d, shots, SplitMix64(11))
     sigma = math.sqrt(exact * (1.0 - exact) / shots)
     assert abs(sampled - exact) <= 4.0 * sigma
     # same seed, same answer
-    assert sampled == success_probability(phi, m, d, shots=shots, seed=11)
+    assert sampled == mean_success_probability([phi], m, d, shots, SplitMix64(11))
 
 
 def test_sample_outcomes_distribution():
@@ -216,3 +242,9 @@ def test_phase_samples_deterministic():
     assert np.allclose(np.diff(grid), 1.0 / 128.0)
     sample = default_phase_sample()
     assert len(sample) == 4596
+    # either part may be empty
+    assert np.array_equal(default_phase_sample(7, 0, 8), grid_phases(8))
+    assert np.array_equal(default_phase_sample(7, 5, 0), random_phases(5, 7))
+    for count, grid in ((-1, 4), (4, -1)):
+        with pytest.raises(ValueError):
+            default_phase_sample(7, count, grid)
