@@ -27,25 +27,21 @@ class ConvergenceError(RuntimeError):
 class SymmetricMatrix:
     """Dense real symmetric matrix; construction enforces exact symmetry."""
 
-    dim: int
     entries: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         a = np.array(self.entries, dtype=np.float64)
-        if a.shape != (self.dim, self.dim):
-            raise ValueError(f"expected shape ({self.dim}, {self.dim}), got {a.shape}")
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise ValueError(f"expected a square 2-D array, got shape {a.shape}")
         # (a + a.T)/2 is bitwise symmetric: both (i,j) and (j,i) evaluate
         # the same float expression.
         a = (a + a.T) / 2.0
         a.setflags(write=False)
         object.__setattr__(self, "entries", a)
 
-    @classmethod
-    def from_array(cls, entries) -> "SymmetricMatrix":
-        a = np.asarray(entries, dtype=np.float64)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"expected a square 2-D array, got shape {a.shape}")
-        return cls(a.shape[0], a)
+    @property
+    def dim(self) -> int:
+        return self.entries.shape[0]
 
     def trace(self) -> float:
         return float(np.trace(self.entries))
@@ -129,9 +125,6 @@ def jacobi_eigh(matrix: SymmetricMatrix, max_sweeps: int = 50) -> tuple[np.ndarr
         raise ValueError(f"eigensolver is desk-scale only (dim <= 1024), got {n}")
     a = matrix.entries.copy()
     v = np.eye(n)
-    if n == 1:
-        return a[0, :1].copy(), v
-
     scale = float(np.linalg.norm(a))
     if scale == 0.0:
         return np.zeros(n), v

@@ -6,20 +6,22 @@ Builds the open-chain Hamiltonian
 
 as a dense real symmetric matrix (site i is bit i of the basis index,
 Z|0> = +|0>), diagonalizes it with the in-house Jacobi solver, and maps
-eigenvalues onto phases via an affine rescale into [0, 1). A driver then
-scores how well depth-d phase estimation recovers an eigenvalue, pairing
-the simulated error with the analytic budget for the same settings.
+each eigenvalue onto the phase 1/2 + E / (4 * E_scale), E_scale = max |E_i|.
+A driver then scores how well depth-d phase estimation recovers an
+eigenvalue, pairing the simulated error with the analytic budget.
 
-The spectrum of the open chain is symmetric about zero, so the rescale
-sends the ground state exactly to phase 0 -- an on-grid value every
-register size estimates perfectly. Results carry an ``on_grid`` flag so
-that 0-RMSE rows are never mistaken for a generic accuracy claim;
-benchmarks that need a generic target use an off-grid excited state.
+The band [-E_scale, E_scale] lands on [1/4, 3/4], so the map is injective
+and an estimate less than a quarter turn off decodes without wrapping. The
+open chain's spectrum is symmetric about zero, so the ground state sits at
+1/4 and the top at 3/4, both on-grid for m >= 2. Results carry an
+``on_grid`` flag so that 0-RMSE rows are never mistaken for a generic
+accuracy claim; benchmarks that need a generic target use an off-grid
+excited state.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -71,7 +73,7 @@ def build_hamiltonian(spec: TfimSpec) -> SymmetricMatrix:
     for site in range(spec.n):
         flipped = states ^ (1 << site)
         entries[states, flipped] -= spec.h
-    return SymmetricMatrix.from_array(entries)
+    return SymmetricMatrix(entries)
 
 
 def spectrum(spec: TfimSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -79,21 +81,19 @@ def spectrum(spec: TfimSpec) -> tuple[np.ndarray, np.ndarray]:
     return jacobi_eigh(build_hamiltonian(spec))
 
 
+_SCALES_PER_TURN = 4.0  # energy per turn of phase, in units of E_scale
+
+
 @dataclass(frozen=True)
 class EncodedPhase:
-    """An eigenvalue rescaled into [0, 1) for phase estimation.
-
-    `wrapped` marks the single boundary case E = +E_scale, whose nominal
-    phase 1.0 wraps to 0.0 and would otherwise decode to -E_scale.
-    """
+    """An eigenvalue mapped to the phase 1/2 + E / (4 * E_scale) in [1/4, 3/4]."""
 
     phi: float
     e_scale: float
-    wrapped: bool = False
 
 
 def encode_phase(energy: float, eigenvalues: np.ndarray) -> EncodedPhase:
-    """Map energy to phase (E + E_scale) / (2 * E_scale), E_scale = max |E_i|."""
+    """Map energy to phase 1/2 + E / (4 * E_scale), E_scale = max |E_i|."""
     if len(eigenvalues) == 0:
         raise ValueError("cannot encode against an empty spectrum")
     e_scale = float(np.max(np.abs(eigenvalues)))
@@ -102,17 +102,12 @@ def encode_phase(energy: float, eigenvalues: np.ndarray) -> EncodedPhase:
     if abs(energy) > e_scale:
         raise ValueError(f"energy {energy} lies outside [-E_scale, E_scale] = "
                          f"[{-e_scale}, {e_scale}]")
-    phi = (energy + e_scale) / (2.0 * e_scale)
-    if phi >= 1.0:
-        return EncodedPhase(0.0, e_scale, wrapped=True)
-    return EncodedPhase(phi, e_scale)
+    return EncodedPhase(0.5 + energy / (_SCALES_PER_TURN * e_scale), e_scale)
 
 
 def decode_phase(encoded: EncodedPhase) -> float:
-    """Invert the rescale; the wrapped top-of-band case decodes to +E_scale."""
-    if encoded.wrapped:
-        return encoded.e_scale
-    return (2.0 * encoded.phi - 1.0) * encoded.e_scale
+    """Invert the map for any phase: E = (phi - 1/2) * 4 * E_scale."""
+    return (encoded.phi - 0.5) * _SCALES_PER_TURN * encoded.e_scale
 
 
 @dataclass(frozen=True)
@@ -122,8 +117,8 @@ class QpeEnergyResult:
     The simulated figures (estimate and RMSE over the exact outcome
     distribution) sit next to the analytic three-term budget evaluated at
     the same register size, depth, and error rate; `energy_rmse` is the
-    phase RMSE scaled by the 2*E_scale decoding slope. With shots set,
-    `sampled_phase_rmse` adds the finite-sample counterpart.
+    phase RMSE scaled by the 4*E_scale slope of `decode_phase`. With shots
+    set, `sampled_phase_rmse` adds the finite-sample counterpart.
     """
 
     m: int
@@ -148,10 +143,10 @@ def qpe_energy_experiment(spec: TfimSpec, m: int, d: int | None = None,
                           seed: int = 0) -> QpeEnergyResult:
     """Estimate one chain eigenvalue with an m-qubit, depth-d readout.
 
-    Noiseless statevector simulation: the exact outcome distribution gives
-    the modal estimate and the phase RMSE; the returned budget models the
-    same configuration including hardware noise at `eps_2q`. ``d=None``
-    runs the full-depth circuit.
+    Noiseless simulation by the product formula: the exact outcome
+    distribution gives the modal estimate and the phase RMSE; the returned
+    budget models the same configuration including hardware noise at
+    `eps_2q`. ``d=None`` runs the full-depth circuit.
     """
     eigenvalues, _ = spectrum(spec)
     if not 0 <= eigenstate_index < len(eigenvalues):
@@ -165,26 +160,23 @@ def qpe_energy_experiment(spec: TfimSpec, m: int, d: int | None = None,
     grid = np.round(encoded.phi * dist.dim) / dist.dim
     on_grid = circular_distance(encoded.phi, float(grid)) < GRID_TOL
 
-    modal = int(np.argmax(dist.probs))
-    estimated_phase = modal / dist.dim
     deviations = circular_distance_array(dist.outcomes(), encoded.phi)
     phase_rmse = float(np.sqrt(np.sum(dist.probs * deviations**2)))
 
-    sampled_rmse = None
+    weights, sampled_rmse = dist.probs, None
     if shots is not None:
         outcomes = sample_outcomes(dist, shots, SplitMix64(seed))
-        counts = np.bincount(outcomes, minlength=dist.dim)
-        modal = int(np.argmax(counts))
-        estimated_phase = modal / dist.dim
+        weights = np.bincount(outcomes, minlength=dist.dim)
         sampled_rmse = float(np.sqrt(np.mean(deviations[outcomes] ** 2)))
+    estimated_phase = int(np.argmax(weights)) / dist.dim
 
-    estimated_energy = (2.0 * estimated_phase - 1.0) * encoded.e_scale
     return QpeEnergyResult(
         m=m, depth=depth, eigenstate_index=eigenstate_index,
         true_energy=energy, e_scale=encoded.e_scale, phi=encoded.phi,
         on_grid=on_grid, estimated_phase=estimated_phase,
-        estimated_energy=estimated_energy, phase_rmse=phase_rmse,
-        energy_rmse=2.0 * encoded.e_scale * phase_rmse,
+        estimated_energy=decode_phase(replace(encoded, phi=estimated_phase)),
+        phase_rmse=phase_rmse,
+        energy_rmse=_SCALES_PER_TURN * encoded.e_scale * phase_rmse,
         budget=error_budget(m, depth, eps_2q, c),
         shots=shots, sampled_phase_rmse=sampled_rmse,
     )

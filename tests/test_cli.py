@@ -15,6 +15,7 @@ from tqft import cli, qpe
 from tqft.calibration import cliff_depth, crossover_error_rate, error_budget
 from tqft.circuits import gate_count, parse_plan, plan_truncated_qft
 from tqft.cli import (
+    MAX_ROWS,
     UsageError,
     main,
     parse_float_list,
@@ -96,6 +97,9 @@ def test_usage_error_exit_codes(tmp_path, capsys):
     with pytest.raises(SystemExit) as info:
         main(["nosuchcommand"])
     assert info.value.code == 1
+    with pytest.raises(SystemExit) as info:
+        main(["tfim", "--m", "8", "--d", "abc"])
+    assert info.value.code == 1
     # post-parse validation
     assert main(["tvd", "--m", "99", "--d", "all"]) == 1
     assert main(["tvd", "--m", "4", "--d", "all", "--phases", "0", "--grid", "0"]) == 1
@@ -156,6 +160,25 @@ def test_large_register_rows_are_finite(argv, tmp_path):
     assert all(math.isfinite(float(cell)) for row in rows for cell in row.values())
 
 
+@pytest.mark.parametrize("argv", [
+    ["gates", "--m", f"1..{MAX_ROWS + 1}", "--d", "1"],
+    ["gates", "--m", f"1,2..{MAX_ROWS + 1}", "--d", "1"],
+    ["gates", "--m", f"{MAX_ROWS + 1}", "--d", "all"],
+    ["gates", "--m", f"{MAX_ROWS // 2},{MAX_ROWS // 2 + 1}", "--d", "all"],
+    ["rmse", "--m", "16", "--d", "11", "--eps", f"1e-4..1e-2:log{MAX_ROWS + 1}"],
+    ["rmse", "--m", "16", "--d", "11", "--eps", f"0..1:lin{MAX_ROWS + 1}"],
+    ["rmse", "--m", "16", "--d", "all", "--eps", f"1e-4..1e-2:log{MAX_ROWS // 16 + 1}"],
+    ["crossover", "--m", f"{MAX_ROWS + 2}", "--d", "all"],
+], ids=" ".join)
+def test_oversize_sweep_names_the_cap(argv, tmp_path, capsys):
+    out = tmp_path / "artifact.csv"
+    assert main(argv + ["--out", str(out)]) == 1
+    payload = json.loads(capsys.readouterr().err.splitlines()[0])
+    assert payload["error"] == "UsageError"
+    assert f"cap of {MAX_ROWS}" in payload["message"]
+    assert not out.exists()
+
+
 def test_malformed_registry_is_a_usage_error(tmp_path, capsys):
     registry = tmp_path / "registry.csv"
     registry.write_text("name,eps_2q\nfoo\n")
@@ -212,7 +235,7 @@ def _argvs(draw):
         flags = {"n": draw(st.sampled_from([-1, 0, 1, 2, 3, 4, 11, 12])), "c": c}
         if draw(st.booleans()):
             flags.update(m=m + 8, state=draw(st.integers(-1, 20)),
-                         d=draw(st.sampled_from(["full", "-1", "0", "3", "22"])),
+                         d=draw(st.sampled_from([None, -1, 0, 3, 22])),
                          shots=draw(st.sampled_from([None, 0, 5])))
         else:
             flags["spectrum"] = draw(st.integers(-1, 20))
@@ -266,23 +289,23 @@ def test_tfim_spectrum_rows(tmp_path):
     assert len(rows) == 4
     energies = [float(r["energy"]) for r in rows]
     assert energies == pytest.approx([-3.4270, -3.3322, -1.8268, -1.7321], abs=1e-3)
-    assert float(rows[0]["phi"]) == pytest.approx(0.0, abs=1e-12)
+    assert float(rows[0]["phi"]) == pytest.approx(0.25, abs=1e-12)
 
 
 def test_tfim_experiment_row(tmp_path):
     out = tmp_path / "trial.csv"
     assert main(["tfim", "--n", "4", "--m", "8", "--d", "5", "--state", "3",
                  "--eps", "1e-3", "--out", str(out)]) == 0
-    _, rows = read_artifact(out)
+    meta, rows = read_artifact(out)
+    assert json.loads(meta[1][len("# config "):])["d"] == 5
     row = rows[0]
     assert (int(row["m"]), int(row["d"]), int(row["state"])) == (8, 5, 3)
     assert row["on_grid"] == "false"
     assert float(row["model_rmse"]) == pytest.approx(error_budget(8, 5, 1e-3).rmse)
     assert float(row["energy_rmse"]) == pytest.approx(
-        2.0 * 3.4270340889080906 * float(row["phase_rmse"]), rel=1e-9)
-    # full-depth spelling
-    assert main(["tfim", "--n", "4", "--m", "6", "--d", "full",
-                 "--out", str(tmp_path / "full.csv")]) == 0
+        4.0 * 3.4270340889080906 * float(row["phase_rmse"]), rel=1e-9)
+    # an omitted --d means full depth
+    assert main(["tfim", "--n", "4", "--m", "6", "--out", str(tmp_path / "full.csv")]) == 0
     _, rows = read_artifact(tmp_path / "full.csv")
     assert int(rows[0]["d"]) == 6
 

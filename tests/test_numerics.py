@@ -86,34 +86,38 @@ def test_circular_distance_properties():
 
 def test_symmetric_matrix_construction():
     raw = np.array([[1.0, 2.0], [0.0, 3.0]])
-    mat = SymmetricMatrix.from_array(raw)
+    mat = SymmetricMatrix(raw)
     assert np.array_equal(mat.entries, mat.entries.T)
     assert mat.entries[0, 1] == 1.0
     assert mat.trace() == 4.0
     with pytest.raises(ValueError):
-        SymmetricMatrix.from_array(np.zeros((2, 3)))
+        SymmetricMatrix(np.zeros((2, 3)))
 
 
 def test_jacobi_diagonal_and_identity():
-    vals, vecs = jacobi_eigh(SymmetricMatrix.from_array(np.eye(4)))
+    vals, vecs = jacobi_eigh(SymmetricMatrix(np.eye(4)))
     assert np.allclose(vals, 1.0)
     assert np.allclose(vecs @ vecs.T, np.eye(4), atol=1e-13)
 
     diag = np.diag([3.0, -1.0, 2.0])
-    vals, vecs = jacobi_eigh(SymmetricMatrix.from_array(diag))
+    vals, vecs = jacobi_eigh(SymmetricMatrix(diag))
     assert np.allclose(vals, [-1.0, 2.0, 3.0])
     assert np.allclose(diag @ vecs, vecs @ np.diag(vals), atol=1e-12)
+
+    for x in (0.0, 3.5, -2.0):
+        vals, vecs = jacobi_eigh(SymmetricMatrix(np.array([[x]])))
+        assert vals.tolist() == [x] and vecs.tolist() == [[1.0]]
 
 
 def test_jacobi_2x2_analytic():
     a, b, c = 2.0, 0.7, -1.0
     mean, radius = (a + c) / 2.0, math.hypot((a - c) / 2.0, b)
-    vals, _ = jacobi_eigh(SymmetricMatrix.from_array(np.array([[a, b], [b, c]])))
+    vals, _ = jacobi_eigh(SymmetricMatrix(np.array([[a, b], [b, c]])))
     assert vals == pytest.approx([mean - radius, mean + radius], rel=1e-14)
 
 
 def test_jacobi_zero_matrix():
-    vals, vecs = jacobi_eigh(SymmetricMatrix.from_array(np.zeros((5, 5))))
+    vals, vecs = jacobi_eigh(SymmetricMatrix(np.zeros((5, 5))))
     assert np.array_equal(vals, np.zeros(5))
     assert np.array_equal(vecs, np.eye(5))
 
@@ -125,7 +129,7 @@ def test_jacobi_random_matrices():
     sizes = [2] * 10 + [3] * 10 + [5] * 8 + [8] * 6 + [16] * 4 + [33, 64]
     for n in sizes:
         raw = rng.normal(size=(n, n)) * rng.choice([0.1, 1.0, 100.0])
-        mat = SymmetricMatrix.from_array(raw)
+        mat = SymmetricMatrix(raw)
         vals, vecs = jacobi_eigh(mat)
         scale = np.linalg.norm(mat.entries)
         assert np.all(np.diff(vals) >= 0.0)
@@ -139,18 +143,18 @@ def test_jacobi_degenerate_spectrum():
     # repeated eigenvalues: projector onto a plane, eigenvalues {0, 0, 1, 1}
     basis = np.linalg.qr(np.random.default_rng(3).normal(size=(4, 4)))[0]
     proj = basis[:, :2] @ basis[:, :2].T
-    vals, vecs = jacobi_eigh(SymmetricMatrix.from_array(proj))
+    vals, vecs = jacobi_eigh(SymmetricMatrix(proj))
     assert np.allclose(np.sort(vals), [0.0, 0.0, 1.0, 1.0], atol=1e-12)
     assert np.linalg.norm(proj @ vecs - vecs * vals) <= 1e-12
 
 
 def test_jacobi_budget_exhaustion_raises():
     raw = np.random.default_rng(5).normal(size=(12, 12))
-    mat = SymmetricMatrix.from_array(raw)
+    mat = SymmetricMatrix(raw)
     with pytest.raises(ConvergenceError):
         jacobi_eigh(mat, max_sweeps=1)
 
 
 def test_jacobi_dimension_cap():
     with pytest.raises(ValueError):
-        jacobi_eigh(SymmetricMatrix.from_array(np.eye(1025)))
+        jacobi_eigh(SymmetricMatrix(np.eye(1025)))

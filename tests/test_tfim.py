@@ -1,10 +1,14 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from tqft.calibration import error_budget
 from tqft.numerics import circular_distance
+from tqft.qpe import phase_distributions
 from tqft.tfim import (
     EncodedPhase,
     TfimSpec,
@@ -89,14 +93,34 @@ def test_encode_decode_roundtrip():
     vals, _ = spectrum(TfimSpec(4, 1.0, 0.5))
     for energy in vals:
         encoded = encode_phase(float(energy), vals)
-        assert 0.0 <= encoded.phi < 1.0
+        assert 0.25 <= encoded.phi <= 0.75
         assert decode_phase(encoded) == pytest.approx(float(energy), abs=1e-12)
-    # band edges: bottom at phase 0, top wraps around to 0 with the flag set
+    # band edges: bottom at phase 1/4, top at 3/4
     bottom = encode_phase(float(vals[0]), vals)
-    assert bottom.phi == pytest.approx(0.0, abs=1e-12) and not bottom.wrapped
+    assert bottom.phi == pytest.approx(0.25, abs=1e-12)
     top = encode_phase(float(vals[-1]), vals)
-    assert top.phi == 0.0 and top.wrapped
+    assert top.phi == 0.75
     assert decode_phase(top) == pytest.approx(float(vals[-1]))
+
+
+# The map is scale-free; couplings stay where the Frobenius norm that the
+# dense solver reads neither underflows nor overflows.
+_COUPLINGS = st.one_of(st.just(0.0), st.floats(1e-3, 4.0), st.floats(-4.0, -1e-3))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(n=st.integers(2, 6), j=_COUPLINGS, h=_COUPLINGS)
+def test_energy_phase_map_inverts_and_survives_estimation(n, j, h):
+    assume(j != 0.0 or h != 0.0)
+    vals, _ = spectrum(TfimSpec(n, j, h))
+    encoded = [encode_phase(float(energy), vals) for energy in vals]
+    m = 8
+    cell = 4.0 * encoded[0].e_scale * 2.0**-m  # one phase cell, in energy
+    probs = phase_distributions(np.array([e.phi for e in encoded]), m, m)
+    for energy, enc, row in zip(vals, encoded, probs):
+        assert decode_phase(enc) == pytest.approx(float(energy), abs=1e-12)
+        modal = replace(enc, phi=int(np.argmax(row)) / 2**m)
+        assert abs(decode_phase(modal) - energy) <= cell
 
 
 def test_encode_phase_errors():
@@ -107,12 +131,12 @@ def test_encode_phase_errors():
         encode_phase(0.0, np.array([]))
     with pytest.raises(ValueError):
         encode_phase(0.0, np.zeros(4))
-    assert decode_phase(EncodedPhase(0.75, 2.0)) == pytest.approx(1.0)
+    assert decode_phase(EncodedPhase(0.75, 2.0)) == pytest.approx(2.0)
 
 
 def test_experiment_ground_state_is_on_grid():
-    # spectrum symmetry parks the ground state exactly at phase 0, so the
-    # estimate is exact for every register size -- and flagged as such
+    # spectrum symmetry parks the ground state at phase 1/4, so the estimate
+    # is exact for every register of m >= 2 qubits -- and flagged as such
     result = qpe_energy_experiment(TfimSpec(4, 1.0, 0.5), m=8, d=5)
     assert result.on_grid
     assert result.phase_rmse < 1e-10
@@ -122,14 +146,22 @@ def test_experiment_ground_state_is_on_grid():
 def test_experiment_excited_state_reference():
     result = qpe_energy_experiment(TfimSpec(4, 1.0, 0.5), m=8, d=5, eigenstate_index=3)
     assert not result.on_grid
-    assert result.phi == pytest.approx(0.24729594707347344, rel=1e-12)
-    assert result.estimated_phase == 63.0 / 256.0
-    assert result.phase_rmse == pytest.approx(0.04807265214454855, rel=1e-9)
-    assert result.energy_rmse == pytest.approx(2.0 * result.e_scale * result.phase_rmse)
+    assert result.phi == pytest.approx(0.37364797353673673, rel=1e-12)
+    assert result.estimated_phase == 96.0 / 256.0
+    assert result.phase_rmse == pytest.approx(0.032298423398811164, rel=1e-9)
+    assert result.energy_rmse == pytest.approx(4.0 * result.e_scale * result.phase_rmse)
     assert result.estimated_energy == pytest.approx(
-        (2.0 * result.estimated_phase - 1.0) * result.e_scale)
+        (4.0 * result.estimated_phase - 2.0) * result.e_scale)
     # modal outcome is the nearest grid point
     assert circular_distance(result.estimated_phase, result.phi) <= 2.0**-8
+
+
+def test_experiment_top_state_is_estimated_at_the_top():
+    # the top of the symmetric band is +E_scale; it must not decode to -E_scale
+    result = qpe_energy_experiment(TfimSpec(4), m=8, eigenstate_index=15)
+    assert result.true_energy == pytest.approx(3.4270340889080906, rel=1e-12)
+    cell = 4.0 * result.e_scale * 2.0**-8
+    assert abs(result.estimated_energy - result.true_energy) <= cell
 
 
 def test_experiment_modal_estimate_stays_near_truth():
@@ -153,7 +185,7 @@ def test_experiment_sampled_mode():
     result = qpe_energy_experiment(TfimSpec(4, 1.0, 0.5), m=8, d=5,
                                    eigenstate_index=3, shots=10_000, seed=7)
     assert result.shots == 10_000
-    assert result.sampled_phase_rmse == pytest.approx(0.05013633933254439, rel=1e-9)
+    assert result.sampled_phase_rmse == pytest.approx(0.032950626098495576, rel=1e-9)
     # finite-sample estimate sits near the exact-distribution value
     assert result.sampled_phase_rmse == pytest.approx(result.phase_rmse, rel=0.25)
     again = qpe_energy_experiment(TfimSpec(4, 1.0, 0.5), m=8, d=5,
