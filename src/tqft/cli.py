@@ -34,6 +34,7 @@ import json
 import os
 import sys
 import time
+from bisect import bisect_right
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +45,8 @@ from .calibration import (DEFAULT_NOISE_CONSTANT, cliff_depth, crossover_error_r
 from .circuits import gate_count, plan_truncated_qft, serialize_plan
 from .numerics import ConvergenceError, SplitMix64
 from .numerics import circular_distance_array  # unused; perfbench/tracing.py patches it here
-from .qpe import default_phase_sample, max_tvd, mean_success_probability
+from .qpe import default_phase_sample, max_tvd_scan, mean_success_probability
+from .qpe import max_tvd  # unused; perfbench/tracing.py patches it here
 from .qpe import grid_phases  # unused; perfbench/tracing.py patches it here
 from .qpe import phase_distribution  # unused; perfbench/tracing.py patches it here
 from .qpe import random_phases  # unused; perfbench/tracing.py patches it here
@@ -142,23 +144,30 @@ def parse_float_list(text: str) -> list[float]:
 
 
 def _depths_for(args) -> list[tuple[int, range | list[int]]]:
-    """Each --m value with its depths: 1..m for 'all', else the requested d <= m."""
+    """Each --m value with its depths: 1..m for 'all', else the requested d <= m.
+
+    Requested depths keep the order they were given in. Rows are counted
+    by bisection on a sorted copy and capped before any list is built.
+    """
     ms = parse_int_list(args.m)
     if ms is None:
         raise UsageError("--m must be explicit (no 'all')")
     if min(ms) < 1:
         raise UsageError(f"--m values must be >= 1, got {min(ms)}")
     ds = parse_int_list(args.d)
-    rows, count = [], 0
-    for m in ms:
-        depths = range(1, m + 1) if ds is None else [d for d in ds if d <= m]
-        count += len(depths)
-        _check_rows(count, f"--m {args.m} --d {args.d}")
-        rows.append((m, depths))
-    if not count:
+    if ds is None:
+        counts = ms
+    else:
+        order = sorted(range(len(ds)), key=ds.__getitem__)
+        ascending = [ds[i] for i in order]
+        counts = [bisect_right(ascending, m) for m in ms]
+    _check_rows(sum(counts), f"--m {args.m} --d {args.d}")
+    if not sum(counts):
         raise UsageError(f"no requested depth fits a register size (need d <= m): "
                          f"--m {args.m} --d {args.d}")
-    return rows
+    # The depths d <= m are the first `count` of the sorted order.
+    return [(m, range(1, m + 1) if ds is None else [ds[i] for i in sorted(order[:count])])
+            for m, count in zip(ms, counts)]
 
 
 # ---------------------------------------------------------------------------
@@ -239,8 +248,7 @@ def cmd_tvd(args) -> int:
     sample = default_phase_sample(args.seed, args.phases, args.grid)
     rows, violated = [], False
     for m, m_depths in _depths_for(args):
-        for d in m_depths:
-            max_tv, _ = max_tvd(m, d, sample)
+        for d, (max_tv, _) in zip(m_depths, max_tvd_scan(m, m_depths, sample)):
             tight = tvd_bound(m, d, form="tight")
             loose = tvd_bound(m, d, form="loose")
             ratio = max_tv / loose if loose > 0.0 else 0.0

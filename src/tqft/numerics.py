@@ -123,12 +123,15 @@ def jacobi_eigh(matrix: SymmetricMatrix, max_sweeps: int = 50) -> tuple[np.ndarr
     n = matrix.dim
     if n > 1024:
         raise ValueError(f"eigensolver is desk-scale only (dim <= 1024), got {n}")
-    a = matrix.entries.copy()
     v = np.eye(n)
-    scale = float(np.linalg.norm(a))
-    if scale == 0.0:
+    peak = float(np.abs(matrix.entries).max(initial=0.0))
+    if peak == 0.0:
         return np.zeros(n), v
-    tol = 1e-13 * scale
+    # Rotations are ratios, so scaling by a power of two is exact; it keeps
+    # the squares inside np.linalg.norm away from underflow and overflow.
+    exponent = int(np.frexp(peak)[1])
+    a = np.ldexp(matrix.entries, -exponent)
+    tol = 1e-13 * float(np.linalg.norm(a))
 
     for sweep in range(max_sweeps):
         off = _off_norm(a)
@@ -150,7 +153,7 @@ def jacobi_eigh(matrix: SymmetricMatrix, max_sweeps: int = 50) -> tuple[np.ndarr
         )
 
     order = np.argsort(np.diag(a), kind="stable")
-    return np.diag(a)[order].copy(), v[:, order].copy()
+    return np.ldexp(np.diag(a)[order], exponent), v[:, order].copy()
 
 
 def _off_norm(a: np.ndarray) -> float:

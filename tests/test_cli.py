@@ -68,6 +68,20 @@ def test_gates_artifact(tmp_path):
     assert float(rows[-1]["reduction_pct"]) == 0.0
 
 
+def test_requested_depths_keep_their_order(tmp_path):
+    out = tmp_path / "gates.csv"
+    assert main(["gates", "--m", "4,30", "--d", "5,2,9", "--out", str(out)]) == 0
+    _, rows = read_artifact(out)
+    assert [(r["m"], r["d"]) for r in rows] == [("4", "2"), ("30", "5"), ("30", "2"), ("30", "9")]
+    out = tmp_path / "tvd.csv"
+    assert main(["tvd", "--m", "6", "--d", "5,2,6,4", "--phases", "20", "--grid", "32",
+                 "--out", str(out)]) == 0
+    _, rows = read_artifact(out)
+    sample = qpe.default_phase_sample(42, 20, 32)
+    assert [(r["d"], r["max_tv"]) for r in rows] == [
+        (str(d), format(qpe.max_tvd(6, d, sample)[0], ".17g")) for d in (5, 2, 6, 4)]
+
+
 def test_tvd_zero_row_and_exit(tmp_path):
     out = tmp_path / "tvd.csv"
     code = main(["tvd", "--m", "4", "--d", "4", "--phases", "16", "--grid", "32",

@@ -139,6 +139,16 @@ def test_jacobi_random_matrices():
         assert np.max(np.abs(vals - np.linalg.eigvalsh(mat.entries))) <= 1e-10 * scale
 
 
+@pytest.mark.parametrize("shift", [-900, -60, 60, 900])
+def test_jacobi_is_exact_under_power_of_two_scaling(shift):
+    rng = np.random.default_rng(4)
+    a = rng.standard_normal((6, 6))
+    vals, vecs = jacobi_eigh(SymmetricMatrix(a))
+    scaled_vals, scaled_vecs = jacobi_eigh(SymmetricMatrix(np.ldexp(a, shift)))
+    assert np.array_equal(scaled_vals, np.ldexp(vals, shift))
+    assert np.array_equal(scaled_vecs, vecs)
+
+
 def test_jacobi_degenerate_spectrum():
     # repeated eigenvalues: projector onto a plane, eigenvalues {0, 0, 1, 1}
     basis = np.linalg.qr(np.random.default_rng(3).normal(size=(4, 4)))[0]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from tqft.qpe import (
     default_phase_sample,
     grid_phases,
     max_tvd,
+    max_tvd_scan,
     mean_success_probability,
     phase_distribution,
     phase_distributions,
@@ -136,6 +138,75 @@ def test_product_formula_matches_statevector_large_registers(m):
     phis = default_phase_sample()[::23]  # every 23rd phase: 22 random, 178 on the grid
     for d in (1, 3, m):
         _assert_matches_statevector(phis, m, d)
+
+
+def test_blocked_table_equals_single_rows():
+    phis = default_phase_sample(42, 500, 512)  # 1012 rows: four blocks at m = 10
+    assert len(phis) > 3 * (qpe.BLOCK_ENTRIES >> 10)
+    for d in (1, 3, 10):
+        single = np.vstack([phase_distributions(phis[i:i + 1], 10, d) for i in range(len(phis))])
+        assert np.array_equal(phase_distributions(phis, 10, d), single), d
+
+
+def test_tvd_scan_equals_one_depth_calls():
+    phis = default_phase_sample()[::4]  # 1149 phases: five blocks at m = 10
+    depths = [7, 1, 10, 3, 3]
+    scan = max_tvd_scan(10, depths, phis)
+    assert scan == [max_tvd(10, d, phis) for d in depths]
+    full = phase_distributions(phis, 10, 10)
+    for d, result in zip(depths, scan):
+        tv = 0.5 * np.abs(full - phase_distributions(phis, 10, d)).sum(axis=1)
+        assert result == (tv.max(), phis[tv.argmax()]), d
+
+
+def test_tvd_scan_matches_statevector_every_depth():
+    phis = np.concatenate([random_phases(40, 5), grid_phases(16), [1.0 - 2.0**-53, -0.3, 2.625]])
+    for m in range(1, 9):
+        full = _statevector_distributions(phis, m, m)
+        for d, (worst, arg) in zip(range(1, m + 1), max_tvd_scan(m, range(1, m + 1), phis)):
+            tv = 0.5 * np.abs(full - _statevector_distributions(phis, m, d)).sum(axis=1)
+            assert abs(worst - tv.max()) <= 1e-12, (m, d)
+            assert arg in phis and abs(tv[list(phis).index(arg)] - worst) <= 1e-12, (m, d)
+
+
+def test_tvd_scan_returns_the_callers_phase():
+    grid = grid_phases(64)
+    worst, arg = max_tvd(5, 2, grid)
+    assert max_tvd(5, 2, grid - 2.0) == (worst, arg - 2.0)  # dyadic: the shift is exact
+
+
+def test_tables_are_distributions_at_every_register_size():
+    for m in range(1, 13):
+        phis = np.concatenate([grid_phases(1 << m), random_phases(20, m), [1.0 - 2.0**-53]])
+        for d in sorted({1, min(2, m), (m + 1) // 2, max(1, m - 1), m}):
+            for start in range(0, len(phis), 512):
+                probs = phase_distributions(phis[start:start + 512], m, d)
+                assert probs.min() >= 0.0, (m, d)
+                assert np.max(np.abs(probs.sum(axis=1) - 1.0)) <= 1e-12, (m, d)
+
+
+@pytest.mark.parametrize("depths", [[0, 2, 3], [2, 7, 3], [2, 3, -1]])
+def test_invalid_depth_is_rejected_before_any_table(depths, monkeypatch):
+    def no_table(*_):
+        raise AssertionError("a table was built")
+    monkeypatch.setattr(qpe, "_fill", no_table)
+    with pytest.raises(ValueError):
+        max_tvd_scan(6, depths, default_phase_sample())
+
+
+def test_tvd_scans_hold_no_full_table():
+    """At m = 10 one (phases, 2^m) float64 table of the default sample is
+    36 MiB; the streamed scan stays within a few row blocks."""
+    sample = default_phase_sample()
+    for scan in (lambda: max_tvd(10, 10, sample), lambda: max_tvd(10, 1, sample),
+                 lambda: max_tvd_scan(10, range(1, 11), sample)):
+        tracemalloc.start()
+        try:
+            scan()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, peak
 
 
 def test_max_tvd_zero_at_full_depth():

@@ -83,6 +83,15 @@ def test_spectrum_against_lapack(n):
     assert np.max(np.abs(vals - reference)) < 1e-10
 
 
+@pytest.mark.parametrize("spec", [TfimSpec(2, 0.0, 4e-267), TfimSpec(2, 1e200, 1e200)],
+                         ids=["tiny", "huge"])
+def test_spectrum_against_lapack_at_extreme_scales(spec):
+    """Couplings whose squares underflow or overflow a double."""
+    vals, _ = spectrum(spec)
+    reference = np.linalg.eigvalsh(build_hamiltonian(spec).entries)
+    assert np.max(np.abs(vals - reference)) <= 1e-12 * np.max(np.abs(reference))
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_spectrum_symmetric_about_zero(n):
     vals, _ = spectrum(TfimSpec(n, 1.0, 0.5))
