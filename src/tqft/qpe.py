@@ -17,13 +17,14 @@ of the outcome y:
 One kernel, _fill, evaluates it for a block of phases at O(2^m) real
 multiplies per phase; every table path streams its sample through it in
 row blocks of BLOCK_ENTRIES entries. phase_distributions returns the whole
-(phases, 2^m) table, and mean_success_probability sums (or samples, with
-shots) the success window of its rows. max_tvd_scan never holds a table:
-per block it builds the full-depth reference once and reduces every
-requested depth against it; max_tvd is its one-depth case. The phase-array
-checks (non-empty, finite) have one owner, _reduced_phases. The gate-by-gate
-statevector simulation of the plan (_statevector_distributions) is kept as
-the kernel's test oracle, next to the closed-form full-depth kernel.
+(phases, 2^m) table. The scans over a sample never hold one:
+mean_success_probability scores each block's rows on the success window
+(summed, or sampled with shots), and max_tvd_scan builds the full-depth
+reference once per block and reduces every requested depth against it;
+max_tvd is its one-depth case. The phase-array checks (non-empty, finite)
+have one owner, _reduced_phases. The gate-by-gate statevector simulation
+of the plan (_statevector_distributions) is kept as the kernel's test
+oracle, next to the closed-form full-depth kernel.
 """
 
 from __future__ import annotations
@@ -110,7 +111,7 @@ def phase_distributions(phis: np.ndarray, m: int, d: int) -> np.ndarray:
     plan_truncated_qft(m, d)  # validates (m, d)
     phis = _reduced_phases(phis, m)
     out = np.empty((len(phis), 1 << m))
-    rows = _block_rows(m)
+    rows = max(1, BLOCK_ENTRIES >> m)
     for start in range(0, len(phis), rows):
         _fill(phis[start:start + rows], m, d, out[start:start + rows])
     return out
@@ -126,10 +127,6 @@ def _reduced_phases(phis, m: int) -> np.ndarray:
     if not np.isfinite(phis).all():
         raise ValueError("phase sample holds a non-finite value")
     return phis % 1.0
-
-
-def _block_rows(m: int) -> int:
-    return max(1, BLOCK_ENTRIES >> m)
 
 
 def _fill(batch: np.ndarray, m: int, d: int, out: np.ndarray) -> np.ndarray:
@@ -258,7 +255,7 @@ def max_tvd_scan(m: int, depths, phases: np.ndarray) -> list[tuple[float, float]
     phis = _reduced_phases(raw, m)
     truncated = [(i, d) for i, d in enumerate(depths) if d != m]  # d = m has TVD 0
     tv = np.zeros((len(depths), len(phis)))
-    rows = min(_block_rows(m), len(phis))
+    rows = min(max(1, BLOCK_ENTRIES >> m), len(phis))
     ref, trunc = np.empty((rows, 1 << m)), np.empty((rows, 1 << m))
     for start in range(0, len(phis) if truncated else 0, rows):
         batch = phis[start:start + rows]
@@ -292,19 +289,28 @@ def mean_success_probability(phis: np.ndarray, m: int, d: int, shots: int | None
     Sampled mode draws `shots` outcomes from each row in turn with `rng`
     and reports the success fraction over all draws, which fluctuates
     binomially around the exact value. A sampled row that fails the
-    PhaseDistribution check is raised as ArithmeticError.
+    PhaseDistribution check is raised as ArithmeticError. The sample is
+    scored one row block at a time, so no (phases, 2^m) table is held.
     """
     if m > SCAN_MAX_QUBITS:
         raise ValueError(f"success scans are limited to m <= {SCAN_MAX_QUBITS}")
-    dists = phase_distributions(phis, m, d)
-    mask = _success_mask(np.asarray(phis, dtype=np.float64), m)
+    phis = np.asarray(phis, dtype=np.float64)
+    _reduced_phases(phis, m)  # checks the whole sample before the first block
+    rows = max(1, BLOCK_ENTRIES >> m)
+    sums, hits = [], 0
+    for start in range(0, len(phis), rows):
+        batch = phis[start:start + rows]
+        dists = phase_distributions(batch, m, d)
+        mask = _success_mask(batch, m)
+        if shots is None:
+            sums.append(np.where(mask, dists, 0.0).sum(axis=1))
+            continue
+        for row, window in zip(dists, mask):
+            outcomes = sample_outcomes(_checked(row, m, d), shots, rng)
+            hits += int(np.count_nonzero(window[outcomes]))
     if shots is None:
-        return float(np.where(mask, dists, 0.0).sum(axis=1).mean())
-    hits = 0
-    for row, window in zip(dists, mask):
-        outcomes = sample_outcomes(_checked(row, m, d), shots, rng)
-        hits += int(np.count_nonzero(window[outcomes]))
-    return hits / (shots * len(dists))
+        return float(np.concatenate(sums).mean())
+    return hits / (shots * len(phis))
 
 
 def sample_outcomes(dist: PhaseDistribution, shots: int, rng: SplitMix64) -> np.ndarray:

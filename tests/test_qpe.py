@@ -175,6 +175,17 @@ def test_tvd_scan_returns_the_callers_phase():
     assert max_tvd(5, 2, grid - 2.0) == (worst, arg - 2.0)  # dyadic: the shift is exact
 
 
+def test_blocked_success_equals_the_table_reduction():
+    phis = default_phase_sample()[::4]  # 1149 phases: five blocks at m = 10
+    probs = phase_distributions(phis, 10, 4)
+    window = qpe._success_mask(phis, 10)
+    assert mean_success_probability(phis, 10, 4) == np.where(window, probs, 0.0).sum(axis=1).mean()
+    rng = SplitMix64(5)
+    hits = sum(int(np.count_nonzero(window[i][sample_outcomes(phase_distribution(phi, 10, 4), 7, rng)]))
+               for i, phi in enumerate(phis))
+    assert mean_success_probability(phis, 10, 4, 7, SplitMix64(5)) == hits / (7 * len(phis))
+
+
 def test_tables_are_distributions_at_every_register_size():
     for m in range(1, 13):
         phis = np.concatenate([grid_phases(1 << m), random_phases(20, m), [1.0 - 2.0**-53]])
@@ -194,12 +205,13 @@ def test_invalid_depth_is_rejected_before_any_table(depths, monkeypatch):
         max_tvd_scan(6, depths, default_phase_sample())
 
 
-def test_tvd_scans_hold_no_full_table():
+def test_sample_scans_hold_no_full_table():
     """At m = 10 one (phases, 2^m) float64 table of the default sample is
-    36 MiB; the streamed scan stays within a few row blocks."""
+    36 MiB; the streamed scans stay within a few row blocks."""
     sample = default_phase_sample()
     for scan in (lambda: max_tvd(10, 10, sample), lambda: max_tvd(10, 1, sample),
-                 lambda: max_tvd_scan(10, range(1, 11), sample)):
+                 lambda: max_tvd_scan(10, range(1, 11), sample),
+                 lambda: mean_success_probability(sample, 10, 10)):
         tracemalloc.start()
         try:
             scan()
