@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .circuits import gate_count
+from .circuits import check_depth, gate_count
 
 DEFAULT_NOISE_CONSTANT = 0.033  # calibrated against 16-qubit runs at eps_2q = 1e-3
 
@@ -48,12 +48,14 @@ DEFAULT_PLATFORMS: tuple[PlatformCalibration, ...] = (
 def optimal_depth(eps_2q: float) -> int:
     """Deepest angle index whose rotation 2*pi/2^k still exceeds eps_2q.
 
-    Exact floor of log2(2*pi/eps_2q); retained angles satisfy
-    2*pi/2^depth >= eps_2q > 2*pi/2^(depth+1).
+    Exact floor of log2(2*pi/eps_2q), read off binary exponents and mantissas
+    (log2 of a rounded quotient is one too high just above each 2*pi/2^k);
+    retained angles satisfy 2*pi/2^depth >= eps_2q > 2*pi/2^(depth+1).
     """
     if not 0.0 < eps_2q < 2.0 * math.pi:
         raise ValueError(f"error rate must lie in (0, 2*pi), got {eps_2q}")
-    return math.floor(math.log2(2.0 * math.pi / eps_2q))
+    (mant_2pi, exp_2pi), (mant, exp) = math.frexp(2.0 * math.pi), math.frexp(eps_2q)
+    return exp_2pi - exp - int(mant_2pi < mant)
 
 
 def tvd_bound(m: int, d: int, form: str = "tight") -> float:
@@ -63,8 +65,7 @@ def tvd_bound(m: int, d: int, form: str = "tight") -> float:
     vanish at d = m; tight <= loose always. The loose form exceeds 1 for
     small d, where the trivial TVD <= 1 takes over.
     """
-    if m < 1 or not 1 <= d <= m:
-        raise ValueError(f"need 1 <= d <= m, got d={d}, m={m}")
+    m, d = check_depth(m, d)
     if form == "tight":
         return (m - d) * math.sin(math.ldexp(math.pi, -d))
     if form == "loose":
@@ -80,13 +81,13 @@ def equal_budget_depth(alpha: float, m: int) -> float:
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"failure budget must lie in (0, 1), got {alpha}")
-    if m < 1:
-        raise ValueError(f"register size must be >= 1, got {m}")
+    check_depth(m)
     return math.log2(math.pi * m / alpha)
 
 
 def cliff_depth(m: int) -> int:
     """Depth below which estimation success collapses: ceil(log2 m) + 2."""
+    m, _ = check_depth(m)
     if m < 2:
         raise ValueError(f"register size must be >= 2, got {m}")
     return (m - 1).bit_length() + 2
@@ -119,16 +120,12 @@ def error_budget(m: int, d: int | None, eps_2q: float,
       truncation  TV^2 / 3                 TV = pi*(m-d)/2^d, 0 when full
       noise       (G * eps_2q * c)^2       G = retained two-qubit gates
     """
-    if m < 1:
-        raise ValueError(f"register size must be >= 1, got {m}")
     if not 0.0 <= eps_2q < math.inf:
         raise ValueError(f"error rate must be finite and >= 0, got {eps_2q}")
     if not 0.0 <= c < math.inf:
         raise ValueError(f"noise constant must be finite and >= 0, got {c}")
-    if d is None:
-        tv, gates = 0.0, gate_count(m, m)
-    else:
-        tv, gates = tvd_bound(m, d, form="loose"), gate_count(m, d)
+    m, d = check_depth(m, m if d is None else d)
+    tv, gates = tvd_bound(m, d, form="loose"), gate_count(m, d)
     precision = math.ldexp(1.0 / 3.0, -2 * m)
     truncation = tv * tv / 3.0
     noise = (gates * eps_2q * c) ** 2

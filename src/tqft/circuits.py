@@ -13,7 +13,8 @@ two-qubit gate count; with it, the d = m plan realizes the exact DFT
 matrix entry (y, x) = exp(2*pi*i*x*y/N)/sqrt(N).
 
 Truncation drops every rotation finer than 2*pi/2^d. gate_count gives the
-retained controlled-phase count without building a plan.
+retained controlled-phase count without building a plan. check_depth is
+the one validator of the integers (m, d) for every layer.
 
 Statevector application defines what a plan does. Outcome distributions
 are computed in tqft.qpe from a product formula instead, and tests check
@@ -59,7 +60,7 @@ def gate_count(m: int, d: int) -> int:
     d-1 each and the last d-1 stages keep d-2, ..., 0. d = m gives the
     full-circuit count m(m-1)/2.
     """
-    _check_m_d(m, d)
+    m, d = check_depth(m, d)
     return (m - d + 1) * (d - 1) + (d - 1) * (d - 2) // 2
 
 
@@ -71,7 +72,7 @@ class CircuitPlan:
     d: int
 
     def __post_init__(self):
-        _check_m_d(self.m, self.d)
+        check_depth(self.m, self.d)
 
     @property
     def gates(self) -> tuple[GateOp, ...]:
@@ -99,11 +100,15 @@ def _plan_gates(m: int, d: int) -> tuple[GateOp, ...]:
     return tuple(gates)
 
 
-def _check_m_d(m: int, d: int) -> None:
+def check_depth(m: int, d: int = 1) -> tuple[int, int]:
+    """(m, d) as ints; ValueError unless integers with 1 <= d <= m (d = 1: m alone)."""
+    if not isinstance(m, (int, np.integer)) or not isinstance(d, (int, np.integer)):
+        raise ValueError(f"register size and depth must be integers, got m={m!r}, d={d!r}")
     if m < 1:
         raise ValueError(f"register size must be >= 1, got {m}")
     if not 1 <= d <= m:
         raise ValueError(f"truncation depth must satisfy 1 <= d <= m, got d={d}, m={m}")
+    return int(m), int(d)
 
 
 APPLY_MAX_QUBITS = 24  # 2^24 complex amplitudes = 256 MiB; the desk-scale ceiling

@@ -541,8 +541,7 @@ def run(argv: list[str] | None = None) -> int:
     return code
 
 
-def main(argv: list[str] | None = None) -> int:
-    return run(argv)
+main = run
 
 
 if __name__ == "__main__":

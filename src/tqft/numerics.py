@@ -109,7 +109,10 @@ def circular_distance_array(a, b) -> np.ndarray:
     return np.minimum(diff, 1.0 - diff)
 
 
-def jacobi_eigh(matrix: SymmetricMatrix, max_sweeps: int = 50) -> tuple[np.ndarray, np.ndarray]:
+JACOBI_MAX_SWEEPS = 50  # cyclic Jacobi converges quadratically, so this is a failure guard
+
+
+def jacobi_eigh(matrix: SymmetricMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Full eigendecomposition of a real symmetric matrix by cyclic Jacobi.
 
     Returns (eigenvalues ascending, eigenvectors as orthonormal columns),
@@ -117,7 +120,7 @@ def jacobi_eigh(matrix: SymmetricMatrix, max_sweeps: int = 50) -> tuple[np.ndarr
     per-sweep threshold are skipped; convergence is declared when the
     off-diagonal Frobenius norm falls below 1e-13 times the matrix norm.
 
-    Raises ConvergenceError if the sweep budget is exhausted first -- a
+    Raises ConvergenceError if JACOBI_MAX_SWEEPS sweeps end first -- a
     partial decomposition is never returned.
     """
     n = matrix.dim
@@ -133,7 +136,7 @@ def jacobi_eigh(matrix: SymmetricMatrix, max_sweeps: int = 50) -> tuple[np.ndarr
     a = np.ldexp(matrix.entries, -exponent)
     tol = 1e-13 * float(np.linalg.norm(a))
 
-    for sweep in range(max_sweeps):
+    for sweep in range(JACOBI_MAX_SWEEPS):
         off = _off_norm(a)
         if off <= tol:
             break
@@ -148,7 +151,7 @@ def jacobi_eigh(matrix: SymmetricMatrix, max_sweeps: int = 50) -> tuple[np.ndarr
                 _rotate(a, v, p, q)
     else:
         raise ConvergenceError(
-            f"Jacobi eigensolver did not converge in {max_sweeps} sweeps "
+            f"Jacobi eigensolver did not converge in {JACOBI_MAX_SWEEPS} sweeps "
             f"(dim={n}, off-norm={_off_norm(a):.3e}, tol={tol:.3e})"
         )
 

@@ -21,10 +21,10 @@ row blocks of BLOCK_ENTRIES entries. phase_distributions returns the whole
 mean_success_probability scores each block's rows on the success window
 (summed, or sampled with shots), and max_tvd_scan builds the full-depth
 reference once per block and reduces every requested depth against it;
-max_tvd is its one-depth case. The phase-array checks (non-empty, finite)
-have one owner, _reduced_phases. The gate-by-gate statevector simulation
-of the plan (_statevector_distributions) is kept as the kernel's test
-oracle, next to the closed-form full-depth kernel.
+max_tvd is its one-depth case. The sample checks (register cap, non-empty,
+finite) have one owner, _reduced_phases. The gate-by-gate statevector
+simulation of the plan (_statevector_distributions) is kept as the
+kernel's test oracle, next to the closed-form full-depth kernel.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuits import apply_plan_to_array, plan_truncated_qft
+from .circuits import apply_plan_to_array, check_depth, plan_truncated_qft
 from .numerics import SplitMix64, circular_distance_array
 
 DIST_MAX_QUBITS = 20  # distribution experiments stay desk-scale
@@ -108,8 +108,8 @@ def phase_distributions(phis: np.ndarray, m: int, d: int) -> np.ndarray:
     entries), so no stage temporary outgrows one block. An empty or
     non-finite phase array is a bad argument (ValueError).
     """
-    plan_truncated_qft(m, d)  # validates (m, d)
-    phis = _reduced_phases(phis, m)
+    check_depth(m, d)
+    phis = _reduced_phases(phis, m, DIST_MAX_QUBITS)
     out = np.empty((len(phis), 1 << m))
     rows = max(1, BLOCK_ENTRIES >> m)
     for start in range(0, len(phis), rows):
@@ -117,10 +117,10 @@ def phase_distributions(phis: np.ndarray, m: int, d: int) -> np.ndarray:
     return out
 
 
-def _reduced_phases(phis, m: int) -> np.ndarray:
-    """The phase sample mod 1, after the register cap and sample checks."""
-    if m > DIST_MAX_QUBITS:
-        raise ValueError(f"distribution experiments are limited to m <= {DIST_MAX_QUBITS}")
+def _reduced_phases(phis, m: int, cap: int) -> np.ndarray:
+    """The phase sample mod 1, after the register cap (m <= cap) and sample checks."""
+    if m > cap:
+        raise ValueError(f"register size m={m} exceeds the cap m <= {cap}")
     phis = np.asarray(phis, dtype=np.float64)
     if phis.size == 0:
         raise ValueError("empty phase sample")
@@ -193,9 +193,7 @@ def closed_form_full_distribution(phi: float, m: int) -> PhaseDistribution:
     delta = phi - y/N, and the 0/0 limit 1 at delta = 0. Independent of the
     circuit path; serves as its test oracle.
     """
-    if m > DIST_MAX_QUBITS:
-        raise ValueError(f"closed-form kernel is limited to m <= {DIST_MAX_QUBITS}")
-    phi = phi % 1.0
+    phi = _reduced_phases([phi], m, DIST_MAX_QUBITS)[0]
     n = 1 << m
     delta = phi - np.arange(n) / n
     denom = n * np.sin(np.pi * delta)
@@ -246,13 +244,11 @@ def max_tvd_scan(m: int, depths, phases: np.ndarray) -> list[tuple[float, float]
     argmax phase is returned as the caller gave it, not reduced mod 1.
     All depths are validated before any table is built.
     """
-    if m > SCAN_MAX_QUBITS:
-        raise ValueError(f"dense TVD scans are limited to m <= {SCAN_MAX_QUBITS}")
     depths = list(depths)
     for d in depths:
-        plan_truncated_qft(m, d)  # validates (m, d)
+        check_depth(m, d)
     raw = np.asarray(phases, dtype=np.float64)
-    phis = _reduced_phases(raw, m)
+    phis = _reduced_phases(raw, m, SCAN_MAX_QUBITS)
     truncated = [(i, d) for i, d in enumerate(depths) if d != m]  # d = m has TVD 0
     tv = np.zeros((len(depths), len(phis)))
     rows = min(max(1, BLOCK_ENTRIES >> m), len(phis))
@@ -292,10 +288,8 @@ def mean_success_probability(phis: np.ndarray, m: int, d: int, shots: int | None
     PhaseDistribution check is raised as ArithmeticError. The sample is
     scored one row block at a time, so no (phases, 2^m) table is held.
     """
-    if m > SCAN_MAX_QUBITS:
-        raise ValueError(f"success scans are limited to m <= {SCAN_MAX_QUBITS}")
     phis = np.asarray(phis, dtype=np.float64)
-    _reduced_phases(phis, m)  # checks the whole sample before the first block
+    _reduced_phases(phis, m, SCAN_MAX_QUBITS)  # checks the whole sample before the first block
     rows = max(1, BLOCK_ENTRIES >> m)
     sums, hits = [], 0
     for start in range(0, len(phis), rows):

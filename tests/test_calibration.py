@@ -1,6 +1,10 @@
 import math
+from dataclasses import astuple
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tqft.calibration import (
     DEFAULT_NOISE_CONSTANT,
@@ -33,6 +37,24 @@ def test_optimal_depth_boundary():
     for bad in (0.0, -1e-3, 2.0 * math.pi):
         with pytest.raises(ValueError):
             optimal_depth(bad)
+
+
+# Uniform draws over the whole domain, plus each edge 2*pi/2^k and its two
+# neighbouring floats, where log2 of a rounded quotient is off by one.
+_EDGES = st.integers(0, 1077).map(lambda k: math.ldexp(2.0 * math.pi, -k))
+_ERROR_RATES = st.one_of(
+    st.floats(0.0, 2.0 * math.pi, exclude_min=True, exclude_max=True),
+    _EDGES, _EDGES.map(lambda e: math.nextafter(e, 0.0)),
+    _EDGES.map(lambda e: math.nextafter(e, math.inf)),
+).filter(lambda eps: 0.0 < eps < 2.0 * math.pi)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=500)
+@given(_ERROR_RATES)
+def test_optimal_depth_brackets_the_error_rate(eps):
+    # 2*pi/2^d >= eps > 2*pi/2^(d+1), compared exactly
+    d = optimal_depth(eps)
+    assert Fraction(eps) * 2**d <= Fraction(2.0 * math.pi) < Fraction(eps) * 2 ** (d + 1)
 
 
 def test_retained_angle_property():
@@ -110,6 +132,15 @@ def test_error_budget_terms():
             error_budget(m, d, bad)
         with pytest.raises(ValueError):
             error_budget(m, d, eps, bad)
+
+
+def test_full_depth_budget_is_the_d_equals_m_budget():
+    for m in range(1, 65):
+        for eps in (0.0, 1e-4, 3e-3):
+            for c in (0.033, 1.0):
+                full, at_m = error_budget(m, None, eps, c), error_budget(m, m, eps, c)
+                for a, b in zip(astuple(full), astuple(at_m)):
+                    assert a.hex() == b.hex(), (m, eps, c)
 
 
 def test_power_of_two_terms_extend_past_float_range():

@@ -3,6 +3,8 @@ import re
 import numpy as np
 import pytest
 
+from tqft.calibration import (cliff_depth, crossover_error_rate, error_budget,
+                              platform_report, tvd_bound)
 from tqft.circuits import (
     BIT_REVERSAL,
     CONTROLLED_PHASE,
@@ -18,6 +20,7 @@ from tqft.circuits import (
     serialize_plan,
 )
 from tqft.numerics import SplitMix64
+from tqft.qpe import max_tvd, phase_distributions
 
 
 def brute_force_count(m: int, d: int) -> int:
@@ -103,6 +106,33 @@ def test_plan_validation_errors():
         plan_truncated_qft(0, 1)
     with pytest.raises(ValueError):
         CircuitPlan(4, 5)
+
+
+# Every entry point that takes a register size (and depth): (call, reads d).
+_SIZE_AND_DEPTH_CALLS = {
+    "gate_count": (gate_count, True),
+    "plan_truncated_qft": (plan_truncated_qft, True),
+    "tvd_bound": (tvd_bound, True),
+    "error_budget": (lambda m, d: error_budget(m, d, 1e-3), True),
+    "crossover_error_rate": (crossover_error_rate, True),
+    "max_tvd": (lambda m, d: max_tvd(m, d, [0.1, 0.3]), True),
+    "phase_distributions": (lambda m, d: phase_distributions(np.array([0.1]), m, d), True),
+    "platform_report": (lambda m, _d: platform_report(m), False),
+    "cliff_depth": (lambda m, _d: cliff_depth(m), False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SIZE_AND_DEPTH_CALLS))
+def test_sizes_and_depths_must_be_integers(name):
+    call, reads_depth = _SIZE_AND_DEPTH_CALLS[name]
+    call(np.int64(6), np.int64(3))
+    call(np.int32(6), 3)
+    bad = [(6.5, 3), (6.0, 3), (np.float64(6.0), 3)]
+    if reads_depth:
+        bad += [(6, 2.5), (6, 3.0), (6, np.float64(3.0))]
+    for m, d in bad:
+        with pytest.raises(ValueError, match="must be integers"):
+            call(m, d)
 
 
 def test_bit_reversal_permutation():

@@ -56,6 +56,29 @@ def test_parse_float_list():
             parse_float_list(bad)
 
 
+_INT_TOKENS = st.lists(st.tuples(st.integers(-50, 50), st.integers(0, 20)),
+                       min_size=1, max_size=8)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(_INT_TOKENS)
+def test_int_list_round_trips(tokens):
+    # a token (lo, 0) is written as a single value, (lo, n) as the range lo..lo+n
+    text = ",".join(str(lo) if n == 0 else f"{lo}..{lo + n}" for lo, n in tokens)
+    assert parse_int_list(text) == [v for lo, n in tokens for v in range(lo, lo + n + 1)]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(scale=st.sampled_from(["lin", "log"]), points=st.integers(2, 2000),
+       lo=st.floats(1e-12, 1e12), hi=st.floats(1e-12, 1e12), negate=st.booleans())
+def test_float_range_round_trips(scale, points, lo, hi, negate):
+    if negate and scale == "lin":
+        lo = -lo
+    values = parse_float_list(f"{lo!r}..{hi!r}:{scale}{points}")
+    assert len(values) == points
+    assert values[0] == lo and values[-1] == hi
+
+
 def test_gates_artifact(tmp_path):
     out = tmp_path / "gates.csv"
     assert main(["gates", "--m", "30", "--d", "11,13,14,30", "--out", str(out)]) == 0

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from tqft import numerics
 from tqft.numerics import (
     ConvergenceError,
     SplitMix64,
@@ -158,11 +159,12 @@ def test_jacobi_degenerate_spectrum():
     assert np.linalg.norm(proj @ vecs - vecs * vals) <= 1e-12
 
 
-def test_jacobi_budget_exhaustion_raises():
+def test_jacobi_budget_exhaustion_raises(monkeypatch):
+    monkeypatch.setattr(numerics, "JACOBI_MAX_SWEEPS", 1)
     raw = np.random.default_rng(5).normal(size=(12, 12))
     mat = SymmetricMatrix(raw)
-    with pytest.raises(ConvergenceError):
-        jacobi_eigh(mat, max_sweeps=1)
+    with pytest.raises(ConvergenceError, match="in 1 sweeps"):
+        jacobi_eigh(mat)
 
 
 def test_jacobi_dimension_cap():

@@ -3,11 +3,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tqft import qpe
+from tqft.calibration import tvd_bound
 from tqft.circuits import plan_truncated_qft, plan_unitary
 from tqft.numerics import SplitMix64, circular_distance
 from tqft.qpe import (
+    DIST_MAX_QUBITS,
+    SCAN_MAX_QUBITS,
     SUCCESS_FLOOR,
     PhaseDistribution,
     _statevector_distributions,
@@ -205,6 +210,35 @@ def test_invalid_depth_is_rejected_before_any_table(depths, monkeypatch):
         max_tvd_scan(6, depths, default_phase_sample())
 
 
+@pytest.mark.parametrize("call", [
+    lambda: max_tvd_scan(SCAN_MAX_QUBITS + 1, [2, 0], default_phase_sample()),
+    lambda: max_tvd(SCAN_MAX_QUBITS + 1, 2.5, default_phase_sample()),
+    lambda: mean_success_probability(default_phase_sample(), SCAN_MAX_QUBITS + 1,
+                                     SCAN_MAX_QUBITS + 2),
+    lambda: phase_distributions(default_phase_sample(), DIST_MAX_QUBITS + 1, 0),
+    lambda: phase_distribution(0.3, DIST_MAX_QUBITS + 1, 2.5),
+], ids=["scan", "max_tvd", "success", "distributions", "distribution"])
+def test_invalid_depth_with_over_cap_register_builds_no_table(call, monkeypatch):
+    def no_table(*_):
+        raise AssertionError("a table was built")
+    monkeypatch.setattr(qpe, "_fill", no_table)
+    with pytest.raises(ValueError):
+        call()
+
+
+@pytest.mark.parametrize("call,cap", [
+    (lambda m: phase_distribution(0.3, m, m), DIST_MAX_QUBITS),
+    (lambda m: closed_form_full_distribution(0.3, m), DIST_MAX_QUBITS),
+    (lambda m: max_tvd_scan(m, [m - 1], [0.3]), SCAN_MAX_QUBITS),
+    (lambda m: mean_success_probability([0.3], m, m), SCAN_MAX_QUBITS),
+], ids=["phase_distribution", "closed_form", "max_tvd_scan", "mean_success"])
+def test_register_cap_is_inclusive_and_named(call, cap):
+    assert (DIST_MAX_QUBITS, SCAN_MAX_QUBITS) == (20, 12)
+    call(cap)
+    with pytest.raises(ValueError, match=rf"m={cap + 1} exceeds the cap m <= {cap}$"):
+        call(cap + 1)
+
+
 def test_sample_scans_hold_no_full_table():
     """At m = 10 one (phases, 2^m) float64 table of the default sample is
     36 MiB; the streamed scans stay within a few row blocks."""
@@ -256,6 +290,15 @@ def test_bound_tightness_band():
             worst, _ = max_tvd(m, d, phases=sample)
             ratios.append(worst / (math.pi * (m - d) / 2**d))
     assert 0.03 <= min(ratios) and max(ratios) <= 0.31
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(m=st.integers(1, 8), data=st.data())
+def test_max_tvd_within_the_tight_bound(m, data):
+    d = data.draw(st.integers(1, m), label="d")
+    phases = data.draw(st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=8), label="phases")
+    value, _ = max_tvd(m, d, phases)
+    assert value <= tvd_bound(m, d, "tight") + 1e-12
 
 
 def test_operator_norm_dominates_outcome_tvd():
