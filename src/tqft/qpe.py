@@ -20,11 +20,11 @@ row blocks of BLOCK_ENTRIES entries. phase_distributions returns the whole
 (phases, 2^m) table. The scans over a sample never hold one:
 mean_success_probability scores each block's rows on the success window
 (summed, or sampled with shots), and max_tvd_scan builds the full-depth
-reference once per block and reduces every requested depth against it;
-max_tvd is its one-depth case. The sample checks (register cap, non-empty,
-finite) have one owner, _reduced_phases. The gate-by-gate statevector
-simulation of the plan (_statevector_distributions) is kept as the
-kernel's test oracle, next to the closed-form full-depth kernel.
+reference and its stage weights once per block, which every requested
+depth reuses; max_tvd is its one-depth case. The sample checks (register
+cap, non-empty, finite) have one owner, _reduced_phases. The gate-by-gate
+statevector simulation of the plan (_statevector_distributions) is kept
+as the kernel's test oracle, next to the closed-form full-depth kernel.
 """
 
 from __future__ import annotations
@@ -129,7 +129,7 @@ def _reduced_phases(phis, m: int, cap: int) -> np.ndarray:
     return phis % 1.0
 
 
-def _fill(batch: np.ndarray, m: int, d: int, out: np.ndarray) -> np.ndarray:
+def _fill(batch: np.ndarray, m: int, d: int, out: np.ndarray, weights=None) -> np.ndarray:
     """Write the depth-d outcome rows of `batch` (phases in [0, 1)) into `out`.
 
     Builds each row bit by bit from the least significant outcome bit up:
@@ -137,6 +137,7 @@ def _fill(batch: np.ndarray, m: int, d: int, out: np.ndarray) -> np.ndarray:
     of qubit j, which depends on the top k = min(d, m-j) bits of
     y_j..y_(m-1). The y_j = 1 half is the sin^2 of the same angle, so it is
     the table minus the y_j = 0 half; w <= 1 makes that difference >= 0.
+    Given all depth-m `weights`, depth k takes every 2^(m-j-k)-th column of stage j's.
     """
     rows = len(batch)
     table = np.ones((rows, 1))
@@ -147,7 +148,8 @@ def _fill(batch: np.ndarray, m: int, d: int, out: np.ndarray) -> np.ndarray:
         new = out if j == 0 else np.empty((rows, 1 << (m - j)))
         new = new.reshape(rows, 2, half, low)
         table = table.reshape(rows, half, low)
-        np.multiply(table, _stage_weights(batch, j, k)[:, :, None], out=new[:, 0])
+        w = _stage_weights(batch, j, k) if weights is None else weights[j][:, ::low]
+        np.multiply(table, w[:, :, None], out=new[:, 0])
         np.subtract(table, new[:, 0], out=new[:, 1])
         table = new
     return out
@@ -244,9 +246,7 @@ def max_tvd_scan(m: int, depths, phases: np.ndarray) -> list[tuple[float, float]
     argmax phase is returned as the caller gave it, not reduced mod 1.
     All depths are validated before any table is built.
     """
-    depths = list(depths)
-    for d in depths:
-        check_depth(m, d)
+    depths = [check_depth(m, d)[1] for d in depths]
     raw = np.asarray(phases, dtype=np.float64)
     phis = _reduced_phases(raw, m, SCAN_MAX_QUBITS)
     truncated = [(i, d) for i, d in enumerate(depths) if d != m]  # d = m has TVD 0
@@ -256,9 +256,10 @@ def max_tvd_scan(m: int, depths, phases: np.ndarray) -> list[tuple[float, float]
     for start in range(0, len(phis) if truncated else 0, rows):
         batch = phis[start:start + rows]
         n = len(batch)
-        _fill(batch, m, m, ref[:n])
+        weights = [_stage_weights(batch, j, m - j) for j in range(m)]
+        _fill(batch, m, m, ref[:n], weights)
         for i, d in truncated:
-            diff = _fill(batch, m, d, trunc[:n])
+            diff = _fill(batch, m, d, trunc[:n], weights)
             np.subtract(ref[:n], diff, out=diff)
             tv[i, start:start + n] = 0.5 * np.abs(diff, out=diff).sum(axis=1)
     best = tv.argmax(axis=1)

@@ -164,6 +164,16 @@ def test_tvd_scan_equals_one_depth_calls():
         assert result == (tv.max(), phis[tv.argmax()]), d
 
 
+def test_shared_full_depth_weights_give_the_same_floats():
+    phis = np.concatenate([random_phases(40, 3), grid_phases(16), [1.0 - 2.0**-53]])
+    for m in range(1, 10):
+        weights = [qpe._stage_weights(phis, j, m - j) for j in range(m)]
+        for d in range(1, m + 1):
+            own = qpe._fill(phis, m, d, np.empty((len(phis), 1 << m)))
+            shared = qpe._fill(phis, m, d, np.empty((len(phis), 1 << m)), weights)
+            assert np.array_equal(own, shared), (m, d)
+
+
 def test_tvd_scan_matches_statevector_every_depth():
     phis = np.concatenate([random_phases(40, 5), grid_phases(16), [1.0 - 2.0**-53, -0.3, 2.625]])
     for m in range(1, 9):
