@@ -120,15 +120,18 @@ def error_budget(m: int, d: int | None, eps_2q: float,
       truncation  TV^2 / 3                 TV = pi*(m-d)/2^d, 0 when full
       noise       (G * eps_2q * c)^2       G = retained two-qubit gates
     """
-    if not 0.0 <= eps_2q < math.inf:
-        raise ValueError(f"error rate must be finite and >= 0, got {eps_2q}")
+    if not 0.0 <= eps_2q <= 1.0:
+        raise ValueError(f"error rate is a per-gate probability in [0, 1], got {eps_2q}")
     if not 0.0 <= c < math.inf:
         raise ValueError(f"noise constant must be finite and >= 0, got {c}")
     m, d = check_depth(m, m if d is None else d)
     tv, gates = tvd_bound(m, d, form="loose"), gate_count(m, d)
     precision = math.ldexp(1.0 / 3.0, -2 * m)
     truncation = tv * tv / 3.0
-    noise = (gates * eps_2q * c) ** 2
+    amplitude = gates * eps_2q * c
+    if not amplitude < 2.0**512:  # the square overflows from here on
+        raise ArithmeticError(f"RMSE noise term is not finite: G={gates}, eps_2q={eps_2q}, c={c}")
+    noise = amplitude ** 2
     return ErrorBudget(precision, truncation, noise, c,
                        math.sqrt(precision + truncation + noise))
 
@@ -146,7 +149,10 @@ def crossover_error_rate(m: int, d: int, c: float = DEFAULT_NOISE_CONSTANT) -> f
     if not 0.0 < c < math.inf:
         raise ValueError(f"noise constant must be finite and > 0, got {c}")
     gap = math.sqrt(float(gate_count(m, m)) ** 2 - float(gate_count(m, d)) ** 2)
-    return (tvd_bound(m, d, form="loose") / math.sqrt(3.0)) / (c * gap)
+    eps = (tvd_bound(m, d, form="loose") / math.sqrt(3.0)) / (c * gap)
+    if not math.isfinite(eps):
+        raise ArithmeticError(f"crossover error rate is not finite at m={m}, d={d}, c={c}")
+    return eps
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -76,8 +75,14 @@ class CircuitPlan:
 
     @property
     def gates(self) -> tuple[GateOp, ...]:
-        """Ordered gate list, generated once per (m, d) and shared."""
-        return _plan_gates(self.m, self.d)
+        """Ordered gate list, generated from (m, d) on each access."""
+        gates = []
+        for j in range(self.m):
+            gates.append(GateOp(HADAMARD, target=j))
+            gates.extend(GateOp(CONTROLLED_PHASE, target=j, control=j + k - 1, k=k)
+                         for k in range(2, min(self.d, self.m - j) + 1))
+        gates.append(GateOp(BIT_REVERSAL))
+        return tuple(gates)
 
     @property
     def controlled_phase_count(self) -> int:
@@ -87,17 +92,6 @@ class CircuitPlan:
 def plan_truncated_qft(m: int, d: int) -> CircuitPlan:
     """Build the depth-d truncated QFT plan. d is validated, never clamped."""
     return CircuitPlan(m, d)
-
-
-@lru_cache(maxsize=64)
-def _plan_gates(m: int, d: int) -> tuple[GateOp, ...]:
-    gates = []
-    for j in range(m):
-        gates.append(GateOp(HADAMARD, target=j))
-        gates.extend(GateOp(CONTROLLED_PHASE, target=j, control=j + k - 1, k=k)
-                     for k in range(2, min(d, m - j) + 1))
-    gates.append(GateOp(BIT_REVERSAL))
-    return tuple(gates)
 
 
 def check_depth(m: int, d: int = 1) -> tuple[int, int]:
@@ -114,14 +108,12 @@ def check_depth(m: int, d: int = 1) -> tuple[int, int]:
 APPLY_MAX_QUBITS = 24  # 2^24 complex amplitudes = 256 MiB; the desk-scale ceiling
 
 
-@lru_cache(maxsize=64)
 def bit_reversal_permutation(m: int) -> np.ndarray:
     """Index permutation rev with rev[y] = y read back in reversed bit order."""
     idx = np.arange(1 << m)
     rev = np.zeros_like(idx)
     for b in range(m):
         rev |= ((idx >> b) & 1) << (m - 1 - b)
-    rev.setflags(write=False)
     return rev
 
 

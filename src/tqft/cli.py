@@ -44,13 +44,10 @@ from .calibration import (DEFAULT_NOISE_CONSTANT, cliff_depth, crossover_error_r
                           error_budget, load_platforms, platform_report, tvd_bound)
 from .circuits import gate_count, plan_truncated_qft, serialize_plan
 from .numerics import ConvergenceError, SplitMix64
-from .numerics import circular_distance_array  # unused; perfbench/tracing.py patches it here
 from .qpe import default_phase_sample, max_tvd_scan, mean_success_probability
-from .qpe import max_tvd  # unused; perfbench/tracing.py patches it here
-from .qpe import grid_phases  # unused; perfbench/tracing.py patches it here
-from .qpe import phase_distribution  # unused; perfbench/tracing.py patches it here
-from .qpe import random_phases  # unused; perfbench/tracing.py patches it here
-from .qpe import sample_outcomes  # unused; perfbench/tracing.py patches it here
+# Unused here; perfbench/tracing.py patches these names in this module.
+from .numerics import circular_distance_array
+from .qpe import grid_phases, max_tvd, phase_distribution, random_phases, sample_outcomes
 from .tfim import TfimSpec, encode_phase, qpe_energy_experiment, spectrum
 
 OUTPUT_DIR_ENV = "TQFT_OUTPUT_DIR"
@@ -124,12 +121,20 @@ def parse_float_list(text: str) -> list[float]:
                 raise UsageError(f"unknown scale {scale!r} (expected logN or linN)")
             points = int(scale[3:])
             _check_rows(points, f"range {text!r}")
-            if scale.startswith("log"):
-                if lo <= 0 or hi <= 0:
-                    raise UsageError(f"log range needs positive endpoints: {text!r}")
-                values = list(np.geomspace(lo, hi, points))
+            if not np.isfinite([lo, hi]).all():
+                raise UsageError(f"float range {text!r} holds a non-finite value")
+            log = scale.startswith("log")
+            if log and (lo <= 0 or hi <= 0):
+                raise UsageError(f"log range needs positive endpoints: {text!r}")
+            # Near the float limit hi - lo or 10**log10(hi) overflows: space at half scale
+            # (log in log space, keeping a subnormal lo), clip to the ends and double.
+            if max(abs(lo), abs(hi)) < 2.0**1022:
+                values = (np.geomspace if log else np.linspace)(lo, hi, points).tolist()
             else:
-                values = list(np.linspace(lo, hi, points))
+                half = (10.0 ** (np.linspace(np.log10(lo), np.log10(hi), points) - np.log10(2.0))
+                        if log else np.linspace(lo / 2, hi / 2, points))
+                inner = np.clip(half[1:-1], min(lo, hi) / 2, max(lo, hi) / 2) * 2
+                values = [lo, *inner.tolist(), hi][:points]
         else:
             values = [float(token) for token in text.split(",")]
     except UsageError:
@@ -184,15 +189,10 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _config_dict(args) -> dict:
-    skip = {"func", "out", "format", "out_dir"}
-    config = {k: v for k, v in sorted(vars(args).items()) if k not in skip}
-    return config
-
-
 def _render(args, rows: list[dict]) -> str:
     """The artifact text; its columns are the keys of the first row."""
-    config = _config_dict(args)
+    skip = {"func", "out", "format", "out_dir"}
+    config = {k: v for k, v in sorted(vars(args).items()) if k not in skip}
     columns = list(rows[0])
     if args.format == "json":
         doc = {

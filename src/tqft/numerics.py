@@ -14,6 +14,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,21 +44,12 @@ class SymmetricMatrix:
     def dim(self) -> int:
         return self.entries.shape[0]
 
-    def trace(self) -> float:
-        return float(np.trace(self.entries))
-
 
 # SplitMix64 constants (64-bit golden-ratio increment and finalizer).
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _MASK = 0xFFFFFFFFFFFFFFFF
-
-
-def _mix(z: int) -> int:
-    z = ((z ^ (z >> 30)) * _MIX1) & _MASK
-    z = ((z ^ (z >> 27)) * _MIX2) & _MASK
-    return z ^ (z >> 31)
 
 
 class SplitMix64:
@@ -72,14 +64,13 @@ class SplitMix64:
         self._counter = 0
 
     def next_u64(self) -> int:
-        self._counter += 1
-        return _mix((self.seed + self._counter * _GAMMA) & _MASK)
+        return int(self.next_u64_array(1)[0])
 
     def random(self) -> float:
-        return (self.next_u64() >> 11) * 2.0**-53
+        return float(self.random_array(1)[0])
 
     def next_u64_array(self, n: int) -> np.ndarray:
-        """Vectorized batch; continues the stream exactly like next_u64."""
+        """The next n outputs; next_u64 and random draw batches of one."""
         counters = np.arange(self._counter + 1, self._counter + n + 1, dtype=np.uint64)
         self._counter += n
         z = np.uint64(self.seed) + counters * np.uint64(_GAMMA)
@@ -100,8 +91,7 @@ def circular_distance(a: float, b: float) -> float:
 
     Inputs are reduced modulo 1 first, so any real arguments are accepted.
     """
-    diff = abs(a % 1.0 - b % 1.0)
-    return min(diff, 1.0 - diff)
+    return float(circular_distance_array(a, b))
 
 
 def circular_distance_array(a, b) -> np.ndarray:
@@ -156,38 +146,23 @@ def jacobi_eigh(matrix: SymmetricMatrix) -> tuple[np.ndarray, np.ndarray]:
         )
 
     order = np.argsort(np.diag(a), kind="stable")
-    return np.ldexp(np.diag(a)[order], exponent), v[:, order].copy()
+    return np.ldexp(np.diag(a)[order], exponent), v[:, order]
 
 
 def _off_norm(a: np.ndarray) -> float:
-    d = np.diag(np.diag(a))
-    return float(np.linalg.norm(a - d))
+    return float(np.linalg.norm(a - np.diag(np.diag(a))))
 
 
 def _rotate(a: np.ndarray, v: np.ndarray, p: int, q: int) -> None:
     """One symmetric Schur rotation zeroing a[p, q], accumulated into v."""
-    apq = a[p, q]
-    tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-    # Smaller-magnitude root of t^2 + 2*tau*t - 1 = 0 for stability.
-    if tau >= 0.0:
-        t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-    else:
-        t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-    c = 1.0 / np.sqrt(1.0 + t * t)
+    # Python floats, so an overflowing tau * tau gives inf and t = 0, its limit.
+    tau = float(a[q, q] - a[p, p]) / (2.0 * float(a[p, q]))
+    # Smaller-magnitude root of t^2 + 2*tau*t - 1 = 0; tau = -0.0 takes t > 0.
+    t = (-1.0 if tau < 0.0 else 1.0) / (abs(tau) + math.sqrt(1.0 + tau * tau))
+    c = 1.0 / math.sqrt(1.0 + t * t)
     s = t * c
-
-    rp = a[p, :].copy()
-    rq = a[q, :].copy()
-    a[p, :] = c * rp - s * rq
-    a[q, :] = s * rp + c * rq
-    cp = a[:, p].copy()
-    cq = a[:, q].copy()
-    a[:, p] = c * cp - s * cq
-    a[:, q] = s * cp + c * cq
-    a[p, q] = 0.0
-    a[q, p] = 0.0
-
-    vp = v[:, p].copy()
-    vq = v[:, q].copy()
-    v[:, p] = c * vp - s * vq
-    v[:, q] = s * vp + c * vq
+    for rows in (a, a.T, v.T):
+        rp = rows[p].copy()
+        rows[p] = c * rp - s * rows[q]
+        rows[q] = s * rp + c * rows[q]
+    a[p, q] = a[q, p] = 0.0

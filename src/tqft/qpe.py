@@ -289,6 +289,8 @@ def mean_success_probability(phis: np.ndarray, m: int, d: int, shots: int | None
     PhaseDistribution check is raised as ArithmeticError. The sample is
     scored one row block at a time, so no (phases, 2^m) table is held.
     """
+    if shots is not None and rng is None:
+        raise ValueError(f"sampled mode (shots={shots}) needs a generator rng, got None")
     phis = np.asarray(phis, dtype=np.float64)
     _reduced_phases(phis, m, SCAN_MAX_QUBITS)  # checks the whole sample before the first block
     rows = max(1, BLOCK_ENTRIES >> m)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tqft import cli, qpe
@@ -68,15 +68,21 @@ def test_int_list_round_trips(tokens):
     assert parse_int_list(text) == [v for lo, n in tokens for v in range(lo, lo + n + 1)]
 
 
+_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
 @given(scale=st.sampled_from(["lin", "log"]), points=st.integers(2, 2000),
-       lo=st.floats(1e-12, 1e12), hi=st.floats(1e-12, 1e12), negate=st.booleans())
+       lo=_POSITIVE, hi=_POSITIVE, negate=st.booleans())
+@example(scale="lin", points=3, lo=1e308, hi=1e308, negate=True)
+@example(scale="log", points=2, lo=1.0, hi=1.7976931348622103e308, negate=False)
 def test_float_range_round_trips(scale, points, lo, hi, negate):
     if negate and scale == "lin":
         lo = -lo
     values = parse_float_list(f"{lo!r}..{hi!r}:{scale}{points}")
     assert len(values) == points
     assert values[0] == lo and values[-1] == hi
+    assert all(type(v) is float and math.isfinite(v) for v in values)
 
 
 def test_gates_artifact(tmp_path):
@@ -378,6 +384,19 @@ def test_crossover_row(tmp_path):
     assert int(row["gates_truncated"]) == 105
     assert int(row["gates_full"]) == 120
     assert float(row["tv_bound"]) == pytest.approx(math.pi * 5.0 / 2048.0)
+
+
+@pytest.mark.parametrize("argv, code, named", [
+    (["rmse", "--m", "4", "--d", "2", "--eps", "1e300..1.7976931348622103e308:log3"], 1,
+     "error rate"),
+    (["crossover", "--m", "16", "--d", "11", "--c", "1e-320"], 2, "crossover error rate"),
+    (["rmse", "--m", "4", "--d", "2", "--eps", "0.5", "--c", "1e200"], 2, "noise term"),
+])
+def test_overflowing_model_writes_no_artifact(argv, code, named, tmp_path, capsys):
+    out = tmp_path / "model.csv"
+    assert main(argv + ["--out", str(out)]) == code
+    assert named in json.loads(capsys.readouterr().err.splitlines()[0])["message"]
+    assert not out.exists()
 
 
 def test_cliff_rows(tmp_path):

@@ -32,6 +32,16 @@ def test_splitmix_reference_stream(seed):
     assert [rng.next_u64() for _ in range(5)] == SPLITMIX_REFERENCE[seed]
 
 
+@pytest.mark.parametrize("seed", sorted(SPLITMIX_REFERENCE))
+def test_splitmix_vector_path_reference_stream(seed):
+    ref = SPLITMIX_REFERENCE[seed]
+    assert SplitMix64(seed).next_u64_array(5).tolist() == ref
+    assert SplitMix64(seed).random_array(5).tolist() == [(x >> 11) * 2.0**-53 for x in ref]
+    rng = SplitMix64(seed)
+    parts = [rng.next_u64_array(2), rng.next_u64_array(0), rng.next_u64_array(3)]
+    assert np.concatenate(parts).tolist() == ref
+
+
 def test_splitmix_vector_path_matches_scalar():
     batch = SplitMix64(7).next_u64_array(64)
     rng = SplitMix64(7)
@@ -74,6 +84,15 @@ def test_circular_distance_examples():
     assert circular_distance(-0.1, 0.1) == pytest.approx(0.2)
 
 
+def test_circular_distance_matches_array_form_bitwise():
+    pairs = [(-0.1, 0.1), (-2.75, 0.3), (1.25, 0.25), (7.9, -3.4), (0.0, 0.5),
+             (0.25, 0.75), (-0.25, 0.25), (-0.0, 0.0), (-0.0, 0.5), (0.3, -0.0)]
+    for a, b in pairs:
+        scalar = circular_distance(a, b)
+        assert type(scalar) is float
+        assert scalar.hex() == float(circular_distance_array(a, b)).hex()
+
+
 def test_circular_distance_properties():
     rng = SplitMix64(11)
     a = rng.random_array(500) * 4 - 2
@@ -90,7 +109,7 @@ def test_symmetric_matrix_construction():
     mat = SymmetricMatrix(raw)
     assert np.array_equal(mat.entries, mat.entries.T)
     assert mat.entries[0, 1] == 1.0
-    assert mat.trace() == 4.0
+    assert np.trace(mat.entries) == 4.0
     with pytest.raises(ValueError):
         SymmetricMatrix(np.zeros((2, 3)))
 
@@ -117,6 +136,14 @@ def test_jacobi_2x2_analytic():
     assert vals == pytest.approx([mean - radius, mean + radius], rel=1e-14)
 
 
+def test_jacobi_equal_diagonal_negative_coupling():
+    # tau = (a_qq - a_pp) / (2 a_pq) is -0.0 here; it rotates like tau = +0.0.
+    s = float.fromhex("0x1.6a09e667f3bccp-1")
+    vals, vecs = jacobi_eigh(SymmetricMatrix(np.array([[0.5, -0.25], [-0.25, 0.5]])))
+    assert vals.tolist() == [0.24999999999999994, 0.7499999999999999]
+    assert vecs.tolist() == [[s, s], [s, -s]]
+
+
 def test_jacobi_zero_matrix():
     vals, vecs = jacobi_eigh(SymmetricMatrix(np.zeros((5, 5))))
     assert np.array_equal(vals, np.zeros(5))
@@ -136,7 +163,7 @@ def test_jacobi_random_matrices():
         assert np.all(np.diff(vals) >= 0.0)
         assert np.linalg.norm(mat.entries @ vecs - vecs * vals) <= 1e-10 * scale
         assert np.linalg.norm(vecs.T @ vecs - np.eye(n)) <= 1e-12
-        assert np.sum(vals) == pytest.approx(mat.trace(), rel=1e-12, abs=1e-12 * scale)
+        assert np.sum(vals) == pytest.approx(np.trace(mat.entries), rel=1e-12, abs=1e-12 * scale)
         assert np.max(np.abs(vals - np.linalg.eigvalsh(mat.entries))) <= 1e-10 * scale
 
 

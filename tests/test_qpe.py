@@ -360,6 +360,15 @@ def test_sampled_success_tracks_exact():
     assert sampled == mean_success_probability([phi], m, d, shots, SplitMix64(11))
 
 
+def test_sampled_success_needs_a_generator(monkeypatch):
+    def no_table(*args):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(qpe, "phase_distributions", no_table)
+    with pytest.raises(ValueError, match="rng"):
+        mean_success_probability(grid_phases(8), 4, 2, shots=10)
+
+
 def test_sample_outcomes_distribution():
     dist = phase_distribution(0.37, 4, 4)
     draws = sample_outcomes(dist, 20_000, SplitMix64(8))

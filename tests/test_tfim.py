@@ -56,7 +56,7 @@ def test_hamiltonian_two_site_matrix():
 def test_hamiltonian_trace_and_symmetry():
     for n, j, h in [(2, 1.0, 0.5), (3, 2.0, 0.3), (5, 0.7, 1.3)]:
         mat = build_hamiltonian(TfimSpec(n, j, h))
-        assert mat.trace() == 0.0
+        assert np.trace(mat.entries) == 0.0
         assert np.array_equal(mat.entries, mat.entries.T)
 
 
@@ -210,3 +210,11 @@ def test_experiment_validation():
         qpe_energy_experiment(TfimSpec(4), m=8, d=None, shots=0)
     with pytest.raises(ValueError):
         qpe_energy_experiment(TfimSpec(4), m=8, d=9)
+
+
+def test_tiny_coupling_spectrum_is_warning_free():
+    # tau * tau overflows at J = 4e-267; the rotation then takes its t = 0 limit.
+    spec = TfimSpec(6, 4e-267, 1.0)
+    vals, _ = spectrum(spec)
+    ref = np.linalg.eigvalsh(build_hamiltonian(spec).entries)
+    assert np.max(np.abs(vals - ref)) <= 1e-12 * np.max(np.abs(ref))
