@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -354,15 +355,18 @@ def cmd_tfim(args) -> int:
     """Ising-chain spectrum, or a phase-estimation accuracy trial on it."""
     spec = TfimSpec(args.n, args.j, args.h)
     if args.m is None:
+        count = spec.dim if args.spectrum is None else args.spectrum
+        if not 1 <= count <= spec.dim:
+            raise UsageError(f"--spectrum must lie in 1..{spec.dim}, got {count}")
+        _check_rows(count, f"--n {spec.n} --spectrum {count}")
         eigenvalues, _ = spectrum(spec)
-        count = len(eigenvalues) if args.spectrum is None else args.spectrum
-        if not 1 <= count <= len(eigenvalues):
-            raise UsageError(f"--spectrum must lie in 1..{len(eigenvalues)}, got {count}")
+        # max |E| of an ascending spectrum sits at one of its ends.
+        ends = eigenvalues[[0, -1]]
         rows = []
         for index in range(count):
-            encoded = encode_phase(float(eigenvalues[index]), eigenvalues)
+            energy = float(eigenvalues[index])
             rows.append({"n": spec.n, "j": spec.j, "h": spec.h, "index": index,
-                         "energy": float(eigenvalues[index]), "phi": encoded.phi})
+                         "energy": energy, "phi": encode_phase(energy, ends).phi})
         return _emit(args, rows)
 
     result = qpe_energy_experiment(spec, args.m, args.d, eps_2q=args.eps, c=args.c,
@@ -381,6 +385,8 @@ def cmd_tfim(args) -> int:
 
 def cmd_plan(args) -> int:
     """Write the gate list of one truncated circuit in the text format."""
+    # A header, m Hadamards, the controlled phases and the bit reversal.
+    _check_rows(gate_count(args.m, args.d) + args.m + 2, f"plan --m {args.m} --d {args.d}")
     plan = plan_truncated_qft(args.m, args.d)
     _write_text(args, serialize_plan(plan))
     return EXIT_OK
@@ -425,7 +431,12 @@ def _add_output_flags(sub):
                           f"(relative paths resolve under ${OUTPUT_DIR_ENV} if set)")
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The whole parser tree, built on first use and shared by every `run`.
+
+    Parsing leaves a parser unchanged; callers must not modify this one.
+    """
     parser = _Parser(prog="tqft", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version", version=f"tqft {__version__}")
@@ -487,11 +498,12 @@ def build_parser() -> _Parser:
     cross.set_defaults(func=cmd_crossover)
 
     tfim = subs.add_parser("tfim", help="Ising spectrum / estimation benchmark")
-    tfim.add_argument("--n", type=int, default=4, help="chain sites (default 4)")
+    tfim.add_argument("--n", type=int, default=4, help="chain sites, 2..16 (default 4)")
     tfim.add_argument("--J", dest="j", type=float, default=1.0)
     tfim.add_argument("--h", dest="h", type=float, default=0.5)
     tfim.add_argument("--spectrum", type=int, default=None,
-                      help="emit this many lowest eigenvalues (default: all)")
+                      help="emit this many lowest eigenvalues (default: all, "
+                           "within the row cap)")
     tfim.add_argument("--m", type=int, default=None,
                       help="run an estimation trial with this register size")
     tfim.add_argument("--d", type=int, default=None,

@@ -291,6 +291,8 @@ def mean_success_probability(phis: np.ndarray, m: int, d: int, shots: int | None
     """
     if shots is not None and rng is None:
         raise ValueError(f"sampled mode (shots={shots}) needs a generator rng, got None")
+    if shots is not None and shots < 1:
+        raise ValueError(f"shot count must be >= 1, got {shots}")
     phis = np.asarray(phis, dtype=np.float64)
     _reduced_phases(phis, m, SCAN_MAX_QUBITS)  # checks the whole sample before the first block
     rows = max(1, BLOCK_ENTRIES >> m)

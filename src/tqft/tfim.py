@@ -1,22 +1,30 @@
 """Transverse-field Ising benchmark for phase-estimation accuracy.
 
-Builds the open-chain Hamiltonian
+The open chain
 
     H = -J * sum_i Z_i Z_{i+1} - h * sum_i X_i
 
-as a dense real symmetric matrix (site i is bit i of the basis index,
-Z|0> = +|0>), diagonalizes it with the in-house Jacobi solver, and maps
-each eigenvalue onto the phase 1/2 + E / (4 * E_scale), E_scale = max |E_i|.
-A driver then scores how well depth-d phase estimation recovers an
-eigenvalue, pairing the simulated error with the analytic budget.
+maps to free fermions by a Jordan-Wigner transformation (Lieb, Schultz &
+Mattis 1961; Pfeuty 1970): H = sum_k eps_k (n_k - 1/2), where the mode
+energies eps_k are the singular values of the n x n bidiagonal matrix
+A = 2h*I - 2J*(superdiagonal). `spectrum` takes them from the in-house
+Jacobi solver on the 2n x 2n symmetric matrix [[0, A], [A^T, 0]], whose
+eigenvalues are +-eps_k, and builds the 2^n levels sum_k +-eps_k/2 by
+doubling. The dense 2^n x 2^n Hamiltonian (`build_hamiltonian`, site i is
+bit i of the basis index, Z|0> = +|0>) remains as the test oracle.
+
+Each eigenvalue maps onto the phase 1/2 + E / (4 * E_scale), E_scale =
+max |E_i|. An experiment then scores how well depth-d phase estimation
+recovers an eigenvalue, pairing the simulated error with the analytic
+budget.
 
 The band [-E_scale, E_scale] lands on [1/4, 3/4], so the map is injective
 and an estimate less than a quarter turn off decodes without wrapping. The
-open chain's spectrum is symmetric about zero, so the ground state sits at
-1/4 and the top at 3/4, both on-grid for m >= 2. Results carry an
-``on_grid`` flag so that 0-RMSE rows are never mistaken for a generic
-accuracy claim; benchmarks that need a generic target use an off-grid
-excited state.
+doubling gives each level an exact negative, so the spectrum is bitwise
+symmetric: the ground state sits at exactly 1/4 and the top at exactly
+3/4, both on-grid for m >= 2. Results carry an ``on_grid`` flag so that
+0-RMSE rows are never mistaken for a generic accuracy claim; benchmarks
+that need a generic target use an off-grid excited state.
 """
 
 from __future__ import annotations
@@ -32,6 +40,10 @@ from .qpe import phase_distribution, sample_outcomes
 
 GRID_TOL = 1e-12  # circular distance below which a phase counts as on-grid
 
+# spectrum(TfimSpec(16)) takes 0.06 s and 0.5 MiB of levels on a 2-vCPU Xeon
+# (Python 3.11, numpy 2.4); the level count doubles per site.
+MAX_SITES = 16
+
 
 @dataclass(frozen=True)
 class TfimSpec:
@@ -46,11 +58,10 @@ class TfimSpec:
             raise ValueError(f"chain needs at least 2 sites, got {self.n}")
         if not np.isfinite([self.j, self.h]).all():
             raise ValueError(f"coupling and field must be finite, got J={self.j}, h={self.h}")
-        if self.n > 8:
-            # Jacobi on the dense 2^n matrix grows about 6x per site: 9.1 s at
-            # n = 8 and 63 s at n = 9 on a 2-vCPU Xeon (Python 3.11, numpy 2.4).
-            raise ValueError(f"dense diagonalization is capped at 8 sites, which fits a "
-                             f"30 s budget (9 sites take about 60 s), got {self.n}")
+        if self.n > MAX_SITES:
+            raise ValueError(f"the chain is capped at {MAX_SITES} sites ({1 << MAX_SITES} "
+                             f"levels), which fits a 1 s budget for a spectrum or a "
+                             f"trial (tfim --n 16 --m 12: about 0.1 s), got {self.n}")
 
     @property
     def dim(self) -> int:
@@ -58,13 +69,15 @@ class TfimSpec:
 
 
 def build_hamiltonian(spec: TfimSpec) -> SymmetricMatrix:
-    """Dense matrix of the chain Hamiltonian.
+    """Dense matrix of the chain Hamiltonian: the oracle for `spectrum`.
 
     ZZ terms are diagonal: each basis state contributes -J * z_i * z_{i+1}
     with z_i = +1 for bit 0 and -1 for bit 1. The field term couples every
     pair of states differing in one bit with amplitude -h. The ZZ diagonal
     sums to zero over the basis, so the trace is exactly 0.
     """
+    if spec.n > 8:  # the matrix takes 0.5 MiB at 8 sites and 32 GiB at 16
+        raise ValueError(f"the dense Hamiltonian is capped at 8 sites, got {spec.n}")
     dim = spec.dim
     states = np.arange(dim, dtype=np.int64)
     z = 1.0 - 2.0 * ((states[:, None] >> np.arange(spec.n)) & 1)  # (dim, n)
@@ -77,8 +90,23 @@ def build_hamiltonian(spec: TfimSpec) -> SymmetricMatrix:
 
 
 def spectrum(spec: TfimSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and orthonormal eigenvector columns."""
-    return jacobi_eigh(build_hamiltonian(spec))
+    """The 2^n levels (ascending) and the n mode energies eps_k (ascending).
+
+    The eps_k are the singular values of A, read from the +-eps_k spectrum
+    of [[0, A], [A^T, 0]]; forming A^T A instead would square a near-zero
+    edge mode and lose half its digits. Each level and its complement are
+    built from the same sums with opposite signs, so they are exact
+    negatives.
+    """
+    n = spec.n
+    a = 2.0 * spec.h * np.eye(n) - 2.0 * spec.j * np.eye(n, k=1)
+    zero = np.zeros((n, n))
+    signed, _ = jacobi_eigh(SymmetricMatrix(np.block([[zero, a], [a.T, zero]])))
+    modes = (signed[n:] - signed[n - 1::-1]) / 2.0
+    levels = np.zeros(1)
+    for eps in modes:
+        levels = np.concatenate([levels - eps / 2.0, levels + eps / 2.0])
+    return np.sort(levels, kind="stable"), modes
 
 
 _SCALES_PER_TURN = 4.0  # energy per turn of phase, in units of E_scale

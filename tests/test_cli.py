@@ -168,7 +168,7 @@ def test_usage_error_exit_codes(tmp_path, capsys):
     ["gates", "--m", "4", "--d", "0"],
     ["plan", "--m", "4", "--d", "5"],
     ["tfim", "--m", "25"],
-    ["tfim", "--n", "11"],
+    ["tfim", "--n", "17"],
     ["tfim", "--n", "4", "--m", "8", "--state", "99"],
     ["tfim", "--n", "4", "--m", "8", "--shots", "0"],
     ["tfim", "--n", "4", "--m", "8", "--d", "9"],
@@ -212,6 +212,9 @@ def test_large_register_rows_are_finite(argv, tmp_path):
     ["rmse", "--m", "16", "--d", "11", "--eps", f"0..1:lin{MAX_ROWS + 1}"],
     ["rmse", "--m", "16", "--d", "all", "--eps", f"1e-4..1e-2:log{MAX_ROWS // 16 + 1}"],
     ["crossover", "--m", f"{MAX_ROWS + 2}", "--d", "all"],
+    ["tfim", "--n", "16"],
+    ["tfim", "--n", "16", "--spectrum", f"{MAX_ROWS + 1}"],
+    ["plan", "--m", "1000", "--d", "1000"],
 ], ids=" ".join)
 def test_oversize_sweep_names_the_cap(argv, tmp_path, capsys):
     out = tmp_path / "artifact.csv"
@@ -475,6 +478,32 @@ def test_output_dir_environment(tmp_path, monkeypatch):
     absolute = tmp_path / "direct.csv"
     assert main(["gates", "--m", "5", "--d", "3", "--out", str(absolute)]) == 0
     assert absolute.exists()
+
+
+def _captured_run(argv):
+    """(exit code, stdout, stderr without the runtime line) of one run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    lines = [line for line in err.getvalue().splitlines() if not line.startswith("runtime:")]
+    return code, out.getvalue(), lines
+
+
+def test_one_parser_serves_every_run():
+    argvs = [["gates", "--m", "5", "--bogus", "1"],
+             ["gates", "--m", "5", "--d", "3"],
+             ["tfim", "--n", "4", "--spectrum", "3"]]
+    cli.build_parser.cache_clear()
+    shared = [_captured_run(argv) for argv in argvs]
+    assert cli.build_parser.cache_info().misses == 1
+    assert [code for code, *_ in shared] == [1, 0, 0]
+    assert "unrecognized arguments: --bogus 1" in shared[0][2][-1]
+    for argv, result in zip(argvs, shared):
+        cli.build_parser.cache_clear()
+        assert _captured_run(argv) == result
 
 
 def test_suite_writes_all_artifacts(tmp_path):

@@ -369,6 +369,21 @@ def test_sampled_success_needs_a_generator(monkeypatch):
         mean_success_probability(grid_phases(8), 4, 2, shots=10)
 
 
+@pytest.mark.parametrize("shots", [0, -3])
+def test_bad_shot_count_is_rejected_before_any_work(shots, monkeypatch):
+    calls = []
+    fill = qpe._fill
+
+    def counting_fill(*args, **kwargs):
+        calls.append(args[1:3])
+        return fill(*args, **kwargs)
+
+    monkeypatch.setattr(qpe, "_fill", counting_fill)
+    with pytest.raises(ValueError, match="shot count"):
+        mean_success_probability(grid_phases(8), 4, 2, shots=shots, rng=SplitMix64(1))
+    assert calls == []
+
+
 def test_sample_outcomes_distribution():
     dist = phase_distribution(0.37, 4, 4)
     draws = sample_outcomes(dist, 20_000, SplitMix64(8))

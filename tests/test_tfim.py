@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tqft.calibration import error_budget
-from tqft.numerics import circular_distance
+from tqft.numerics import circular_distance, jacobi_eigh
 from tqft.qpe import phase_distributions
 from tqft.tfim import (
     EncodedPhase,
@@ -20,7 +21,7 @@ from tqft.tfim import (
 )
 
 # Lowest part of the benchmark spectrum (n=4, J=1, h=0.5, open ends),
-# frozen at full precision from the in-house solver and cross-checked
+# frozen at full precision from the dense in-house solver and cross-checked
 # against LAPACK below.
 LOWEST_FOUR = [-3.427034088908086, -3.3322465011650086,
                -1.8268383953119562, -1.7320508075688816]
@@ -31,10 +32,9 @@ def test_spec_validation():
     assert (spec.j, spec.h, spec.dim) == (1.0, 0.5, 16)
     with pytest.raises(ValueError):
         TfimSpec(1)
-    with pytest.raises(ValueError):
-        TfimSpec(11)
-    with pytest.raises(ValueError):
-        TfimSpec(9)
+    assert TfimSpec(16).dim == 65536
+    with pytest.raises(ValueError, match="capped at 16 sites"):
+        TfimSpec(17)
     for j, h in ((math.nan, 0.5), (1.0, math.inf), (-math.inf, 0.5)):
         with pytest.raises(ValueError):
             TfimSpec(4, j, h)
@@ -67,12 +67,75 @@ def test_two_site_spectrum_analytic(j, h):
     assert vals == pytest.approx(sorted([-outer, -j, j, outer]), rel=1e-12)
 
 
+def test_dense_oracle_refuses_long_chains_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="capped at 8 sites"):
+            build_hamiltonian(TfimSpec(9))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024  # the 512 x 512 matrix alone would take 2 MiB
+
+
 def test_benchmark_spectrum_reference():
-    vals, vecs = spectrum(TfimSpec(4, 1.0, 0.5))
+    vals, modes = spectrum(TfimSpec(4, 1.0, 0.5))
     assert vals[:4] == pytest.approx(LOWEST_FOUR, rel=1e-12)
-    # eigenpairs actually solve the problem
-    mat = build_hamiltonian(TfimSpec(4, 1.0, 0.5)).entries
-    assert np.linalg.norm(mat @ vecs - vecs * vals) < 1e-12 * np.linalg.norm(mat)
+    assert len(modes) == 4 and np.all(np.diff(modes) >= 0.0)
+    # the dense oracle's eigenpairs actually solve the problem
+    dense = build_hamiltonian(TfimSpec(4, 1.0, 0.5))
+    dense_vals, vecs = jacobi_eigh(dense)
+    mat = dense.entries
+    assert np.linalg.norm(mat @ vecs - vecs * dense_vals) < 1e-12 * np.linalg.norm(mat)
+    assert dense_vals[:4] == pytest.approx(LOWEST_FOUR, rel=1e-12)
+
+
+# Signs, zeros, and scales whose squares underflow or overflow a double.
+ORACLE_COUPLINGS = [(1.0, 0.5), (1.1, 0.6), (-1.0, 0.5), (0.7, -1.3), (0.0, 1.0), (1.0, 0.0),
+                    (0.0, 4e-267), (4e-267, 1.0), (1e200, 1e200), (1.0, 1.0), (2.0, 0.3),
+                    (0.3, 2.0)]
+
+
+def _assert_levels_match(spec, reference):
+    vals, _ = spectrum(spec)
+    scale = np.max(np.abs(reference))
+    assert np.max(np.abs(vals - reference)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("j,h", ORACLE_COUPLINGS)
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_free_fermion_levels_match_dense_jacobi(n, j, h):
+    spec = TfimSpec(n, j, h)
+    _assert_levels_match(spec, jacobi_eigh(build_hamiltonian(spec))[0])
+
+
+# Dense Jacobi takes 1-4 s per chain at 7 sites and 6-20 s at 8; LAPACK
+# stands in for it there.
+@pytest.mark.parametrize("j,h", ORACLE_COUPLINGS)
+@pytest.mark.parametrize("n", [7, 8])
+def test_free_fermion_levels_match_lapack_up_to_the_dense_cap(n, j, h):
+    spec = TfimSpec(n, j, h)
+    _assert_levels_match(spec, np.linalg.eigvalsh(build_hamiltonian(spec).entries))
+
+
+_ANY_COUPLING = st.one_of(st.just(0.0), st.floats(-1e6, 1e6, allow_subnormal=False))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(n=st.integers(2, 6), j=_ANY_COUPLING, h=_ANY_COUPLING)
+def test_free_fermion_levels_property(n, j, h):
+    assume(j != 0.0 or h != 0.0)
+    spec = TfimSpec(n, j, h)
+    _assert_levels_match(spec, np.linalg.eigvalsh(build_hamiltonian(spec).entries))
+
+
+@pytest.mark.parametrize("j,h", ORACLE_COUPLINGS)
+@pytest.mark.parametrize("n", [2, 5, 16])
+def test_levels_are_exact_negatives_and_edges_encode_exactly(n, j, h):
+    vals, _ = spectrum(TfimSpec(n, j, h))
+    assert np.array_equal(vals, -vals[::-1])
+    assert encode_phase(float(vals[0]), vals).phi == 0.25
+    assert encode_phase(float(vals[-1]), vals).phi == 0.75
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -106,7 +169,7 @@ def test_encode_decode_roundtrip():
         assert decode_phase(encoded) == pytest.approx(float(energy), abs=1e-12)
     # band edges: bottom at phase 1/4, top at 3/4
     bottom = encode_phase(float(vals[0]), vals)
-    assert bottom.phi == pytest.approx(0.25, abs=1e-12)
+    assert bottom.phi == 0.25
     top = encode_phase(float(vals[-1]), vals)
     assert top.phi == 0.75
     assert decode_phase(top) == pytest.approx(float(vals[-1]))
