@@ -14,17 +14,19 @@ of the outcome y:
 
     P(y | phi) = prod_j cos^2(pi * (frac(2^j phi) - sum_{k=1}^{min(d, m-j)} y_{j+k-1} / 2^k))
 
-One kernel, _fill, evaluates it for a block of phases at O(2^m) real
-multiplies per phase; every table path streams its sample through it in
-row blocks of BLOCK_ENTRIES entries. phase_distributions returns the whole
-(phases, 2^m) table. The scans over a sample never hold one:
-mean_success_probability scores each block's rows on the success window
-(summed, or sampled with shots), and max_tvd_scan builds the full-depth
-reference and its stage weights once per block, which every requested
-depth reuses; max_tvd is its one-depth case. The sample checks (register
-cap, non-empty, finite) have one owner, _reduced_phases. The gate-by-gate
-statevector simulation of the plan (_statevector_distributions) is kept
-as the kernel's test oracle, next to the closed-form full-depth kernel.
+One kernel, _fill, evaluates it at O(2^m) real multiplies per phase into
+phase-minor (2^m outcomes, phases) blocks of BLOCK_ENTRIES entries, so
+every stage is one contiguous loop over the phases; no factor couples two
+phases, so the layout changes no float. phase_distributions is the one
+path that transposes a block, into its (phases, 2^m) table. The scans
+over a sample hold no table and reduce over the outcome axis: max_tvd_scan
+builds the full-depth reference and its stage weights once per block for
+every depth to reuse (max_tvd is its one-depth case), and
+mean_success_probability reads only the <= 4 candidate outcomes of each
+phase's success window. The sample checks (register cap, 1-D, non-empty,
+finite) have one owner, _reduced_phases. The gate-by-gate statevector
+simulation of the plan (_statevector_distributions) is kept as the
+kernel's test oracle, next to the closed-form full-depth kernel.
 """
 
 from __future__ import annotations
@@ -40,15 +42,16 @@ from .numerics import SplitMix64, circular_distance_array
 DIST_MAX_QUBITS = 20  # distribution experiments stay desk-scale
 SCAN_MAX_QUBITS = 12  # scans over a phase sample (max_tvd_scan, mean success) get a tighter cap
 
-# Table entries per row block: 2 MiB of float64, the L2 of one core. Every
-# table path fills BLOCK_ENTRIES >> m rows at a time (at least one). Medians
-# of 7 interleaved runs on the default 4596-phase sample (2-vCPU Xeon,
-# Python 3.11, numpy 2.4), for max_tvd_scan(10, 1..10) / ten max_tvd(10, d)
-# calls / phase_distributions(., 12, 12):
-#   2^16: 0.56 / 1.00 / 0.35 s    2^17: 0.50 / 0.89 / 0.29 s
-#   2^18: 0.46 / 0.84 / 0.24 s    2^19: 0.45 / 0.84 / 0.21 s
-#   2^20: 0.48 / 1.02 / 0.27 s
-# 2^18 is as fast as 2^19 at half the temporaries.
+# Table entries per block: 2 MiB of float64, the L2 of one core. Every
+# table path fills BLOCK_ENTRIES >> m phases at a time (at least one).
+# Medians of 7 interleaved runs on the default 4596-phase sample (2-vCPU
+# Xeon, Python 3.11, numpy 2.4), for max_tvd_scan(10, 1..10) / ten
+# max_tvd(10, d) calls / phase_distributions(., 12, 12):
+#   2^16: 0.21 / 0.61 / 0.32 s    2^17: 0.20 / 0.53 / 0.26 s
+#   2^18: 0.23 / 0.58 / 0.29 s    2^19: 0.25 / 0.57 / 0.34 s
+#   2^20: 0.26 / 0.65 / 0.48 s
+# 2^17 and 2^18 differ by less than the spread between sweeps (2^18 ran the
+# ten max_tvd calls faster in four of five); a larger block raises peak RSS.
 BLOCK_ENTRIES = 1 << 18
 
 # Probability that phase estimation lands within one grid cell of the true
@@ -104,16 +107,20 @@ def _checked(probs: np.ndarray, m: int, d: int) -> PhaseDistribution:
 def phase_distributions(phis: np.ndarray, m: int, d: int) -> np.ndarray:
     """Outcome probabilities for many eigenphases at once; rows sum to 1.
 
-    Fills the (phases, 2^m) output one row block at a time (BLOCK_ENTRIES
-    entries), so no stage temporary outgrows one block. An empty or
-    non-finite phase array is a bad argument (ValueError).
+    Fills one (2^m, phases) block of BLOCK_ENTRIES entries at a time, so
+    no stage temporary outgrows one block, and transposes it into the
+    output 512 outcomes at a time (at m = 12 on a 2-vCPU Xeon, 10-17 %
+    faster than one strided copy). An empty, non-finite or non-1-D phase
+    array is a bad argument (ValueError).
     """
     check_depth(m, d)
     phis = _reduced_phases(phis, m, DIST_MAX_QUBITS)
     out = np.empty((len(phis), 1 << m))
-    rows = max(1, BLOCK_ENTRIES >> m)
-    for start in range(0, len(phis), rows):
-        _fill(phis[start:start + rows], m, d, out[start:start + rows])
+    cols = max(1, BLOCK_ENTRIES >> m)
+    for start in range(0, len(phis), cols):
+        block = _fill(phis[start:start + cols], m, d)
+        for y in range(0, 1 << m, 512):
+            out[start:start + cols, y:y + 512] = block[y:y + 512].T
     return out
 
 
@@ -122,6 +129,8 @@ def _reduced_phases(phis, m: int, cap: int) -> np.ndarray:
     if m > cap:
         raise ValueError(f"register size m={m} exceeds the cap m <= {cap}")
     phis = np.asarray(phis, dtype=np.float64)
+    if phis.ndim != 1:
+        raise ValueError(f"phase sample must be 1-D, got shape {phis.shape}")
     if phis.size == 0:
         raise ValueError("empty phase sample")
     if not np.isfinite(phis).all():
@@ -129,42 +138,43 @@ def _reduced_phases(phis, m: int, cap: int) -> np.ndarray:
     return phis % 1.0
 
 
-def _fill(batch: np.ndarray, m: int, d: int, out: np.ndarray, weights=None) -> np.ndarray:
-    """Write the depth-d outcome rows of `batch` (phases in [0, 1)) into `out`.
+def _fill(batch: np.ndarray, m: int, d: int, weights=None) -> np.ndarray:
+    """The depth-d (2^m outcomes, phases) table of `batch` (phases in [0, 1)).
 
-    Builds each row bit by bit from the least significant outcome bit up:
-    stage j multiplies the table over y_(j+1)..y_(m-1) by the cos^2 factor
-    of qubit j, which depends on the top k = min(d, m-j) bits of
+    Phase-minor, so every stage operation is one contiguous loop over the
+    phases, however small m is. Built bit by bit from the least
+    significant outcome bit up: stage j
+    multiplies the table over y_(j+1)..y_(m-1) by the cos^2 factor of
+    qubit j, which depends on the top k = min(d, m-j) bits of
     y_j..y_(m-1). The y_j = 1 half is the sin^2 of the same angle, so it is
     the table minus the y_j = 0 half; w <= 1 makes that difference >= 0.
-    Given all depth-m `weights`, depth k takes every 2^(m-j-k)-th column of stage j's.
+    Given all depth-m `weights`, depth k takes every 2^(m-j-k)-th row of stage j's.
     """
-    rows = len(batch)
-    table = np.ones((rows, 1))
+    cols = len(batch)
+    table = np.ones((1, cols))
     for j in range(m - 1, -1, -1):
         k = min(d, m - j)
         half = 1 << (k - 1)
         low = 1 << (m - j - k)  # suffix bits below the k the factor reads
-        new = out if j == 0 else np.empty((rows, 1 << (m - j)))
-        new = new.reshape(rows, 2, half, low)
-        table = table.reshape(rows, half, low)
-        w = _stage_weights(batch, j, k) if weights is None else weights[j][:, ::low]
-        np.multiply(table, w[:, :, None], out=new[:, 0])
-        np.subtract(table, new[:, 0], out=new[:, 1])
+        new = np.empty((2, half, low, cols))
+        table = table.reshape(half, low, cols)
+        w = _stage_weights(batch, j, k) if weights is None else weights[j][::low]
+        np.multiply(table, w[:, None], out=new[0])
+        np.subtract(table, new[0], out=new[1])
         table = new
-    return out
+    return table.reshape(1 << m, cols)
 
 
 def _stage_weights(phis: np.ndarray, j: int, k: int) -> np.ndarray:
-    """cos^2(pi * (frac(2^j phi) - c)) for every phase and c = 0, 1/2^k, ..., 1/2 - 1/2^k.
+    """cos^2(pi * (frac(2^j phi) - c)), row c = 0, 1/2^k, ..., 1/2 - 1/2^k, column phi.
 
     Expanded as (cos a cos b + sin a sin b)^2, which cannot round below 0
     as 0.5 + 0.5 cos(2(a - b)) can; the clip removes rounding above 1.
     """
     a = np.pi * ((phis * 2.0**j) % 1.0)
     b = np.pi * np.arange(1 << (k - 1)) / (1 << k)
-    weights = np.multiply.outer(np.cos(a), np.cos(b))
-    weights += np.multiply.outer(np.sin(a), np.sin(b))
+    weights = np.multiply.outer(np.cos(b), np.cos(a))
+    weights += np.multiply.outer(np.sin(b), np.sin(a))
     np.square(weights, out=weights)
     return np.minimum(weights, 1.0, out=weights)
 
@@ -207,15 +217,13 @@ def closed_form_full_distribution(phi: float, m: int) -> PhaseDistribution:
 
 def random_phases(count: int, seed: int) -> np.ndarray:
     """`count` phases drawn uniformly from [0, 1) with the package PRNG."""
-    if count < 0:
-        raise ValueError(f"phase count must be >= 0, got {count}")
+    count = _check_count("phase count", count, 0)
     return SplitMix64(seed).random_array(count)
 
 
 def grid_phases(points: int) -> np.ndarray:
     """Uniform grid 0, 1/points, ..., (points-1)/points."""
-    if points < 0:
-        raise ValueError(f"grid must hold >= 0 points, got {points}")
+    points = _check_count("grid point count", points, 0)
     return np.arange(points) / points
 
 
@@ -240,37 +248,33 @@ def max_tvd(m: int, d: int, phases: np.ndarray) -> tuple[float, float]:
 def max_tvd_scan(m: int, depths, phases: np.ndarray) -> list[tuple[float, float]]:
     """max_tvd for every requested depth, one (max value, argmax phase) each.
 
-    Streams the sample through row blocks: each block builds the d = m
-    reference once and reduces every truncated depth against it into a
-    (depths, phases) array, so no (phases, 2^m) table is ever held. The
-    argmax phase is returned as the caller gave it, not reduced mod 1.
-    All depths are validated before any table is built.
+    Streams the sample through (2^m, phases) blocks: each block builds the
+    d = m reference and its stage weights once and reduces every truncated
+    depth against it, so no (phases, 2^m) table is ever held. |ref - trunc|
+    is summed over the outcome axis by an in-place halving tree, a pairwise
+    sum (within m ulps of exact) at the cost of sum(axis=0). The argmax
+    phase is returned as the caller gave it, not reduced mod 1. All depths
+    are validated before any table is built.
     """
     depths = [check_depth(m, d)[1] for d in depths]
     raw = np.asarray(phases, dtype=np.float64)
     phis = _reduced_phases(raw, m, SCAN_MAX_QUBITS)
     truncated = [(i, d) for i, d in enumerate(depths) if d != m]  # d = m has TVD 0
     tv = np.zeros((len(depths), len(phis)))
-    rows = min(max(1, BLOCK_ENTRIES >> m), len(phis))
-    ref, trunc = np.empty((rows, 1 << m)), np.empty((rows, 1 << m))
-    for start in range(0, len(phis) if truncated else 0, rows):
-        batch = phis[start:start + rows]
-        n = len(batch)
+    cols = max(1, BLOCK_ENTRIES >> m)
+    for start in range(0, len(phis) if truncated else 0, cols):
+        batch = phis[start:start + cols]
         weights = [_stage_weights(batch, j, m - j) for j in range(m)]
-        _fill(batch, m, m, ref[:n], weights)
+        ref = _fill(batch, m, m, weights)
         for i, d in truncated:
-            diff = _fill(batch, m, d, trunc[:n], weights)
-            np.subtract(ref[:n], diff, out=diff)
-            tv[i, start:start + n] = 0.5 * np.abs(diff, out=diff).sum(axis=1)
+            diff = _fill(batch, m, d, weights)
+            np.abs(np.subtract(ref, diff, out=diff), out=diff)
+            for b in range(m - 1, -1, -1):  # halving tree: rows r and r + 2^b
+                diff[:1 << b] += diff[1 << b:2 << b]
+            tv[i, start:start + cols] = 0.5 * diff[0]
+            del diff  # free this depth's table before the next one is filled
     best = tv.argmax(axis=1)
     return [(float(tv[i, b]), float(raw[b])) for i, b in enumerate(best)]
-
-
-def _success_mask(phis: np.ndarray, m: int) -> np.ndarray:
-    """Boolean (phases, N) mask of outcomes within circular distance 2^-m."""
-    outcomes = np.arange(1 << m) / (1 << m)
-    dist = circular_distance_array(phis[:, None], outcomes[None, :])
-    return dist <= 2.0**-m
 
 
 def success_probability(phi: float, m: int, d: int) -> float:
@@ -282,31 +286,39 @@ def mean_success_probability(phis: np.ndarray, m: int, d: int, shots: int | None
                              rng: SplitMix64 | None = None) -> float:
     """Success probability averaged over a phase sample.
 
-    Exact mode (shots=None) sums each outcome row over the success window.
-    Sampled mode draws `shots` outcomes from each row in turn with `rng`
-    and reports the success fraction over all draws, which fluctuates
-    binomially around the exact value. A sampled row that fails the
-    PhaseDistribution check is raised as ArithmeticError. The sample is
-    scored one row block at a time, so no (phases, 2^m) table is held.
+    The success window is the outcomes within circular distance 2^-m of
+    phi; only the candidates floor(phi*N)-1 .. floor(phi*N)+2 (mod N) can
+    be that close, so only they are tested. Exact mode (shots=None)
+    gathers their probabilities from the (2^m, phases) block and sums the
+    window in ascending outcome order. Sampled mode draws `shots` outcomes
+    from each row in turn with `rng` and reports the success fraction over
+    all draws, which fluctuates binomially around the exact value. A
+    sampled row that fails the PhaseDistribution check is raised as
+    ArithmeticError. The sample is scored one block at a time, so no
+    (phases, 2^m) table is held.
     """
     if shots is not None and rng is None:
         raise ValueError(f"sampled mode (shots={shots}) needs a generator rng, got None")
-    if shots is not None and shots < 1:
-        raise ValueError(f"shot count must be >= 1, got {shots}")
-    phis = np.asarray(phis, dtype=np.float64)
-    _reduced_phases(phis, m, SCAN_MAX_QUBITS)  # checks the whole sample before the first block
-    rows = max(1, BLOCK_ENTRIES >> m)
+    if shots is not None:
+        shots = _check_count("shot count", shots, 1)
+    m, d = check_depth(m, d)
+    phis = _reduced_phases(phis, m, SCAN_MAX_QUBITS)  # checks the whole sample first
+    n_out, cols = 1 << m, max(1, BLOCK_ENTRIES >> m)
+    offsets = np.arange(-1, min(4, n_out) - 1)[:, None]  # 2 at m = 1: no outcome twice
     sums, hits = [], 0
-    for start in range(0, len(phis), rows):
-        batch = phis[start:start + rows]
-        dists = phase_distributions(batch, m, d)
-        mask = _success_mask(batch, m)
+    for start in range(0, len(phis), cols):
+        batch = phis[start:start + cols]
+        cells = np.floor(batch * n_out).astype(np.int64)
+        candidates = np.sort((cells + offsets) % n_out, axis=0)
+        inside = circular_distance_array(batch, candidates / n_out) <= 2.0**-m
         if shots is None:
-            sums.append(np.where(mask, dists, 0.0).sum(axis=1))
+            probs = np.take_along_axis(_fill(batch, m, d), candidates, axis=0)
+            sums.append(np.where(inside, probs, 0.0).sum(axis=0))
             continue
-        for row, window in zip(dists, mask):
-            outcomes = sample_outcomes(_checked(row, m, d), shots, rng)
-            hits += int(np.count_nonzero(window[outcomes]))
+        window = np.zeros((len(batch), n_out), dtype=bool)  # 1 byte per block entry
+        np.put_along_axis(window, candidates.T, inside.T, axis=1)
+        for row, hit in zip(phase_distributions(batch, m, d), window):
+            hits += int(np.count_nonzero(hit[sample_outcomes(_checked(row, m, d), shots, rng)]))
     if shots is None:
         return float(np.concatenate(sums).mean())
     return hits / (shots * len(phis))
@@ -314,8 +326,16 @@ def mean_success_probability(phis: np.ndarray, m: int, d: int, shots: int | None
 
 def sample_outcomes(dist: PhaseDistribution, shots: int, rng: SplitMix64) -> np.ndarray:
     """Draw measurement outcomes by inverting the cumulative distribution."""
-    if shots < 1:
-        raise ValueError(f"shot count must be >= 1, got {shots}")
+    shots = _check_count("shot count", shots, 1)
     cdf = np.cumsum(dist.probs)
     u = rng.random_array(shots)
     return np.minimum(np.searchsorted(cdf, u, side="right"), len(cdf) - 1)
+
+
+def _check_count(name: str, value, low: int) -> int:
+    """`value` as an int; ValueError unless an integer (not a bool) >= low."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    return int(value)

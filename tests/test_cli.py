@@ -178,6 +178,8 @@ def test_usage_error_exit_codes(tmp_path, capsys):
     ["platforms", "--m", "1"],
     ["tfim", "--n", "4", "--J", "0", "--h", "0", "--spectrum", "2"],
     ["cliff", "--m", "4", "--d", "1", "--phases", "0", "--grid", "4", "--shots", "0"],
+    ["cliff", "--m", "4", "--d", "1", "--grid", "-1"],
+    ["tvd", "--m", "4", "--d", "2", "--phases", "-2"],
     ["rmse", "--m", "8", "--d", "3", "--eps", "1e-3", "--c", "nan"],
     ["crossover", "--m", "16", "--d", "11", "--c", "nan"],
     ["tfim", "--n", "4", "--m", "8", "--eps", "nan"],

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from tqft import qpe
 from tqft.calibration import tvd_bound
 from tqft.circuits import plan_truncated_qft, plan_unitary
-from tqft.numerics import SplitMix64, circular_distance
+from tqft.numerics import SplitMix64, circular_distance, circular_distance_array
 from tqft.qpe import (
     DIST_MAX_QUBITS,
     SCAN_MAX_QUBITS,
@@ -158,10 +158,33 @@ def test_tvd_scan_equals_one_depth_calls():
     depths = [7, 1, 10, 3, 3]
     scan = max_tvd_scan(10, depths, phis)
     assert scan == [max_tvd(10, d, phis) for d in depths]
+    # The scan sums each phase's 2^m terms pairwise over the outcome axis,
+    # the table row-wise: two pairwise sums, each within m ulps of exact.
     full = phase_distributions(phis, 10, 10)
-    for d, result in zip(depths, scan):
+    for d, (worst, arg) in zip(depths, scan):
         tv = 0.5 * np.abs(full - phase_distributions(phis, 10, d)).sum(axis=1)
-        assert result == (tv.max(), phis[tv.argmax()]), d
+        bound = 2 * 10 * math.ulp(tv.max())
+        assert abs(worst - tv.max()) <= bound, d
+        assert tv.max() - tv[list(phis).index(arg)] <= bound, d
+
+
+EDGE_PHASES = [0.0, 0.5, 1.0 - 2.0**-53, 2.0**-53, 0.25 - 2.0**-54, 1.0 / 3.0]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(m=st.integers(1, SCAN_MAX_QUBITS), data=st.data())
+def test_per_phase_tvd_is_within_2m_ulps_of_the_exact_sum(m, data):
+    d = data.draw(st.integers(1, m), label="d")
+    phi = data.draw(st.one_of(
+        st.sampled_from(EDGE_PHASES),
+        st.integers(0, (1 << m) - 1).map(lambda y: y / (1 << m)),  # grid edges
+        st.floats(0.0, 1.0, exclude_max=True),
+    ), label="phi")
+    diff = np.abs(phase_distributions([phi], m, m)[0] - phase_distributions([phi], m, d)[0])
+    exact = 0.5 * math.fsum(diff)
+    value, arg = max_tvd(m, d, [phi])
+    assert arg == phi
+    assert abs(value - exact) <= 2 * m * math.ulp(exact), (value, exact)
 
 
 def test_shared_full_depth_weights_give_the_same_floats():
@@ -169,9 +192,10 @@ def test_shared_full_depth_weights_give_the_same_floats():
     for m in range(1, 10):
         weights = [qpe._stage_weights(phis, j, m - j) for j in range(m)]
         for d in range(1, m + 1):
-            own = qpe._fill(phis, m, d, np.empty((len(phis), 1 << m)))
-            shared = qpe._fill(phis, m, d, np.empty((len(phis), 1 << m)), weights)
+            own = qpe._fill(phis, m, d)
+            shared = qpe._fill(phis, m, d, weights)
             assert np.array_equal(own, shared), (m, d)
+            assert np.array_equal(own.T, phase_distributions(phis, m, d)), (m, d)
 
 
 def test_tvd_scan_matches_statevector_every_depth():
@@ -193,12 +217,29 @@ def test_tvd_scan_returns_the_callers_phase():
 def test_blocked_success_equals_the_table_reduction():
     phis = default_phase_sample()[::4]  # 1149 phases: five blocks at m = 10
     probs = phase_distributions(phis, 10, 4)
-    window = qpe._success_mask(phis, 10)
+    outcomes = np.arange(1024) / 1024
+    window = circular_distance_array(phis[:, None], outcomes[None, :]) <= 2.0**-10
     assert mean_success_probability(phis, 10, 4) == np.where(window, probs, 0.0).sum(axis=1).mean()
     rng = SplitMix64(5)
     hits = sum(int(np.count_nonzero(window[i][sample_outcomes(phase_distribution(phi, 10, 4), 7, rng)]))
                for i, phi in enumerate(phis))
     assert mean_success_probability(phis, 10, 4, 7, SplitMix64(5)) == hits / (7 * len(phis))
+
+
+@pytest.mark.parametrize("m", range(1, SCAN_MAX_QUBITS + 1))
+def test_success_window_equals_the_table_reduction_at_every_register_size(m):
+    n = 1 << m
+    grid = grid_phases(n)[::max(1, n >> 5)]
+    phis = np.concatenate([grid, grid + 2.0**-52, random_phases(20, m), [1.0 - 2.0**-53, -0.3]])
+    window = circular_distance_array(phis[:, None], (np.arange(n) / n)[None, :]) <= 2.0**-m
+    for d in sorted({1, (m + 1) // 2, m}):
+        probs = phase_distributions(phis, m, d)
+        exact = np.where(window, probs, 0.0).sum(axis=1).mean()
+        assert mean_success_probability(phis, m, d) == exact, d
+    rng = SplitMix64(m)  # sampled mode at d = m, the last table above
+    hits = sum(int(np.count_nonzero(window[i][sample_outcomes(PhaseDistribution(m, row), 5, rng)]))
+               for i, row in enumerate(probs))
+    assert mean_success_probability(phis, m, m, 5, SplitMix64(m)) == hits / (5 * len(phis))
 
 
 def test_tables_are_distributions_at_every_register_size():
@@ -369,7 +410,7 @@ def test_sampled_success_needs_a_generator(monkeypatch):
         mean_success_probability(grid_phases(8), 4, 2, shots=10)
 
 
-@pytest.mark.parametrize("shots", [0, -3])
+@pytest.mark.parametrize("shots", [0, -3, 2.5, True, np.float64(4.0)])
 def test_bad_shot_count_is_rejected_before_any_work(shots, monkeypatch):
     calls = []
     fill = qpe._fill
@@ -382,6 +423,42 @@ def test_bad_shot_count_is_rejected_before_any_work(shots, monkeypatch):
     with pytest.raises(ValueError, match="shot count"):
         mean_success_probability(grid_phases(8), 4, 2, shots=shots, rng=SplitMix64(1))
     assert calls == []
+
+
+@pytest.mark.parametrize("call", [
+    lambda bad: grid_phases(bad),
+    lambda bad: random_phases(bad, 1),
+    lambda bad: default_phase_sample(1, bad, 4),
+    lambda bad: default_phase_sample(1, 4, bad),
+    lambda bad: sample_outcomes(phase_distribution(0.3, 3, 2), bad, SplitMix64(1)),
+], ids=["grid", "random", "sample_count", "sample_grid", "sample_outcomes"])
+@pytest.mark.parametrize("bad", [2.5, True, False, np.float64(3.0), "3"])
+def test_counts_must_be_integers(call, bad):
+    with pytest.raises(ValueError, match="must be an integer"):
+        call(bad)
+
+
+def test_numpy_integer_counts_are_accepted():
+    assert np.array_equal(grid_phases(np.int64(8)), grid_phases(8))
+    assert np.array_equal(random_phases(np.int32(5), 3), random_phases(5, 3))
+    assert (mean_success_probability([0.3], 3, 2, np.int64(50), SplitMix64(1))
+            == mean_success_probability([0.3], 3, 2, 50, SplitMix64(1)))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: phase_distributions(0.3, 3, 2),
+    lambda: phase_distributions([[0.1, 0.2], [0.3, 0.4]], 3, 2),
+    lambda: max_tvd(4, 2, [[0.1, 0.2], [0.3, 0.4]]),
+    lambda: max_tvd_scan(4, [1, 2], np.zeros((3, 1))),
+    lambda: mean_success_probability([[0.1, 0.2]], 4, 2),
+    lambda: mean_success_probability(np.float64(0.3), 4, 2, 5, SplitMix64(1)),
+], ids=["scalar", "distributions", "max_tvd", "scan", "success", "sampled"])
+def test_non_1d_phase_sample_is_rejected_before_any_table(call, monkeypatch):
+    def no_table(*_):
+        raise AssertionError("a table was built")
+    monkeypatch.setattr(qpe, "_fill", no_table)
+    with pytest.raises(ValueError, match=r"phase sample must be 1-D, got shape \("):
+        call()
 
 
 def test_sample_outcomes_distribution():
