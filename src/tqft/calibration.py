@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .circuits import check_depth, gate_count
+from .circuits import check_depth, check_int, gate_count
 
 DEFAULT_NOISE_CONSTANT = 0.033  # calibrated against 16-qubit runs at eps_2q = 1e-3
 
@@ -87,10 +87,7 @@ def equal_budget_depth(alpha: float, m: int) -> float:
 
 def cliff_depth(m: int) -> int:
     """Depth below which estimation success collapses: ceil(log2 m) + 2."""
-    m, _ = check_depth(m)
-    if m < 2:
-        raise ValueError(f"register size must be >= 2, got {m}")
-    return (m - 1).bit_length() + 2
+    return (check_int("register size m", m, 2) - 1).bit_length() + 2
 
 
 @dataclass(frozen=True)
@@ -144,8 +141,8 @@ def crossover_error_rate(m: int, d: int, c: float = DEFAULT_NOISE_CONSTANT) -> f
 
     Undefined at d = m (no gate-count gap).
     """
-    if not 1 <= d < m:
-        raise ValueError(f"crossover needs 1 <= d < m, got d={d}, m={m}")
+    m = check_int("register size m", m, 2)
+    d = check_int("truncation depth d", d, 1, m - 1)
     if not 0.0 < c < math.inf:
         raise ValueError(f"noise constant must be finite and > 0, got {c}")
     gap = math.sqrt(float(gate_count(m, m)) ** 2 - float(gate_count(m, d)) ** 2)
@@ -175,8 +172,7 @@ def platform_report(m: int, platforms: tuple[PlatformCalibration, ...] | None = 
     Platforms whose calibrated depth exceeds m fall back to the full
     circuit and are flagged `clamped` instead of failing.
     """
-    if m < 2:
-        raise ValueError(f"register size must be >= 2, got {m}")
+    m = check_int("register size m", m, 2)
     rows = []
     for plat in platforms if platforms is not None else DEFAULT_PLATFORMS:
         depth = optimal_depth(plat.eps_2q)

@@ -13,8 +13,9 @@ two-qubit gate count; with it, the d = m plan realizes the exact DFT
 matrix entry (y, x) = exp(2*pi*i*x*y/N)/sqrt(N).
 
 Truncation drops every rotation finer than 2*pi/2^d. gate_count gives the
-retained controlled-phase count without building a plan. check_depth is
-the one validator of the integers (m, d) for every layer.
+retained controlled-phase count without building a plan. check_int is the
+one integer check for every size, depth, count and index in the package;
+check_depth applies it to the pair (m, d) for every layer.
 
 Statevector application defines what a plan does. Outcome distributions
 are computed in tqft.qpe from a product formula instead, and tests check
@@ -94,15 +95,22 @@ def plan_truncated_qft(m: int, d: int) -> CircuitPlan:
     return CircuitPlan(m, d)
 
 
+def check_int(name: str, value, low: int, high: int | None = None) -> int:
+    """`value` as an int; ValueError naming `name` unless an integer (not a
+    bool) with low <= value (<= high, when given)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if high is None and value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    if high is not None and not low <= value <= high:
+        raise ValueError(f"{name} must lie in {low}..{high}, got {value}")
+    return int(value)
+
+
 def check_depth(m: int, d: int = 1) -> tuple[int, int]:
     """(m, d) as ints; ValueError unless integers with 1 <= d <= m (d = 1: m alone)."""
-    if not isinstance(m, (int, np.integer)) or not isinstance(d, (int, np.integer)):
-        raise ValueError(f"register size and depth must be integers, got m={m!r}, d={d!r}")
-    if m < 1:
-        raise ValueError(f"register size must be >= 1, got {m}")
-    if not 1 <= d <= m:
-        raise ValueError(f"truncation depth must satisfy 1 <= d <= m, got d={d}, m={m}")
-    return int(m), int(d)
+    m = check_int("register size m", m, 1)
+    return m, check_int("truncation depth d", d, 1, m)
 
 
 APPLY_MAX_QUBITS = 24  # 2^24 complex amplitudes = 256 MiB; the desk-scale ceiling
@@ -170,8 +178,7 @@ def full_qft_matrix(m: int) -> np.ndarray:
 
     Test oracle only; refuses m > 8.
     """
-    if not 1 <= m <= 8:
-        raise ValueError(f"dense QFT matrix is a test oracle, limited to 1 <= m <= 8 (got {m})")
+    m = check_int("register size m of the dense QFT test oracle", m, 1, 8)
     n = 1 << m
     y = np.arange(n)
     return np.exp(2j * np.pi * np.outer(y, y) / n) / math.sqrt(n)

@@ -43,7 +43,7 @@ import numpy as np
 from . import __version__
 from .calibration import (DEFAULT_NOISE_CONSTANT, cliff_depth, crossover_error_rate,
                           error_budget, load_platforms, platform_report, tvd_bound)
-from .circuits import gate_count, plan_truncated_qft, serialize_plan
+from .circuits import check_int, gate_count, plan_truncated_qft, serialize_plan
 from .numerics import ConvergenceError, SplitMix64
 from .qpe import default_phase_sample, max_tvd_scan, mean_success_probability
 # Unused here; perfbench/tracing.py patches these names in this module.
@@ -158,8 +158,7 @@ def _depths_for(args) -> list[tuple[int, range | list[int]]]:
     ms = parse_int_list(args.m)
     if ms is None:
         raise UsageError("--m must be explicit (no 'all')")
-    if min(ms) < 1:
-        raise UsageError(f"--m values must be >= 1, got {min(ms)}")
+    check_int("--m", min(ms), 1)
     ds = parse_int_list(args.d)
     if ds is None:
         counts = ms
@@ -309,8 +308,7 @@ def cmd_platforms(args) -> int:
 
 def cmd_rmse(args) -> int:
     """Three-term RMSE model: truncated vs full across an error-rate sweep."""
-    if args.m < 1:
-        raise UsageError(f"--m must be >= 1, got {args.m}")
+    check_int("--m", args.m, 1)
     ds = parse_int_list(args.d)
     if ds is None:
         ds = range(1, args.m + 1)
@@ -333,8 +331,7 @@ def cmd_rmse(args) -> int:
 
 def cmd_crossover(args) -> int:
     """Error rate where the truncated circuit starts beating the full one."""
-    if args.m < 2:
-        raise UsageError(f"crossover needs a truncated depth d < m, so --m >= 2; got {args.m}")
+    check_int("--m", args.m, 2)  # crossover needs a truncated depth d < m
     ds = parse_int_list(args.d)
     if ds is None:
         ds = range(1, args.m)
@@ -355,9 +352,8 @@ def cmd_tfim(args) -> int:
     """Ising-chain spectrum, or a phase-estimation accuracy trial on it."""
     spec = TfimSpec(args.n, args.j, args.h)
     if args.m is None:
-        count = spec.dim if args.spectrum is None else args.spectrum
-        if not 1 <= count <= spec.dim:
-            raise UsageError(f"--spectrum must lie in 1..{spec.dim}, got {count}")
+        count = check_int("--spectrum", spec.dim if args.spectrum is None else args.spectrum,
+                          1, spec.dim)
         _check_rows(count, f"--n {spec.n} --spectrum {count}")
         eigenvalues, _ = spectrum(spec)
         # max |E| of an ascending spectrum sits at one of its ends.
@@ -409,7 +405,9 @@ SUITE = [
 
 def cmd_suite(args) -> int:
     """Run the default experiment set, one artifact per subcommand."""
-    out_dir = Path(args.out_dir or os.environ.get(OUTPUT_DIR_ENV, "tqft-artifacts"))
+    # Made absolute so that no `run` below applies the environment directory again.
+    base = os.environ.get(OUTPUT_DIR_ENV) or ""
+    out_dir = Path(base, args.out_dir or ("" if base else "tqft-artifacts")).absolute()
     out_dir.mkdir(parents=True, exist_ok=True)
     worst = EXIT_OK
     for filename, argv in SUITE:
@@ -527,8 +525,8 @@ def build_parser() -> _Parser:
 
     suite = subs.add_parser("suite", help="run the default experiment set")
     suite.add_argument("--out-dir", default=None,
-                       help=f"artifact directory (default ${OUTPUT_DIR_ENV} "
-                            "or ./tqft-artifacts)")
+                       help=f"artifact directory, under ${OUTPUT_DIR_ENV} if relative "
+                            f"(default ${OUTPUT_DIR_ENV} or ./tqft-artifacts)")
     suite.set_defaults(func=cmd_suite)
 
     return parser

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuits import apply_plan_to_array, check_depth, plan_truncated_qft
+from .circuits import apply_plan_to_array, check_depth, check_int, plan_truncated_qft
 from .numerics import SplitMix64, circular_distance_array
 
 DIST_MAX_QUBITS = 20  # distribution experiments stay desk-scale
@@ -67,6 +67,7 @@ class PhaseDistribution:
     probs: np.ndarray = field(repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "m", check_int("register size m", self.m, 1))
         p = np.ascontiguousarray(self.probs, dtype=np.float64)
         if p.shape != (1 << self.m,):
             raise ValueError(f"expected {1 << self.m} outcome probabilities, got {p.shape}")
@@ -205,6 +206,7 @@ def closed_form_full_distribution(phi: float, m: int) -> PhaseDistribution:
     delta = phi - y/N, and the 0/0 limit 1 at delta = 0. Independent of the
     circuit path; serves as its test oracle.
     """
+    m, _ = check_depth(m)
     phi = _reduced_phases([phi], m, DIST_MAX_QUBITS)[0]
     n = 1 << m
     delta = phi - np.arange(n) / n
@@ -217,13 +219,13 @@ def closed_form_full_distribution(phi: float, m: int) -> PhaseDistribution:
 
 def random_phases(count: int, seed: int) -> np.ndarray:
     """`count` phases drawn uniformly from [0, 1) with the package PRNG."""
-    count = _check_count("phase count", count, 0)
+    count = check_int("phase count", count, 0)
     return SplitMix64(seed).random_array(count)
 
 
 def grid_phases(points: int) -> np.ndarray:
     """Uniform grid 0, 1/points, ..., (points-1)/points."""
-    points = _check_count("grid point count", points, 0)
+    points = check_int("grid point count", points, 0)
     return np.arange(points) / points
 
 
@@ -291,16 +293,17 @@ def mean_success_probability(phis: np.ndarray, m: int, d: int, shots: int | None
     be that close, so only they are tested. Exact mode (shots=None)
     gathers their probabilities from the (2^m, phases) block and sums the
     window in ascending outcome order. Sampled mode draws `shots` outcomes
-    from each row in turn with `rng` and reports the success fraction over
-    all draws, which fluctuates binomially around the exact value. A
-    sampled row that fails the PhaseDistribution check is raised as
+    with `rng` from each phase's row of the same block, transposed once so
+    each row is contiguous, and reports the success fraction over all
+    draws, which fluctuates binomially around the exact value. A sampled
+    row that fails the PhaseDistribution check is raised as
     ArithmeticError. The sample is scored one block at a time, so no
-    (phases, 2^m) table is held.
+    (phases, 2^m) table of the whole sample is held.
     """
     if shots is not None and rng is None:
         raise ValueError(f"sampled mode (shots={shots}) needs a generator rng, got None")
     if shots is not None:
-        shots = _check_count("shot count", shots, 1)
+        shots = check_int("shot count", shots, 1)
     m, d = check_depth(m, d)
     phis = _reduced_phases(phis, m, SCAN_MAX_QUBITS)  # checks the whole sample first
     n_out, cols = 1 << m, max(1, BLOCK_ENTRIES >> m)
@@ -311,14 +314,16 @@ def mean_success_probability(phis: np.ndarray, m: int, d: int, shots: int | None
         cells = np.floor(batch * n_out).astype(np.int64)
         candidates = np.sort((cells + offsets) % n_out, axis=0)
         inside = circular_distance_array(batch, candidates / n_out) <= 2.0**-m
+        table = _fill(batch, m, d)
         if shots is None:
-            probs = np.take_along_axis(_fill(batch, m, d), candidates, axis=0)
+            probs = np.take_along_axis(table, candidates, axis=0)
             sums.append(np.where(inside, probs, 0.0).sum(axis=0))
             continue
-        window = np.zeros((len(batch), n_out), dtype=bool)  # 1 byte per block entry
-        np.put_along_axis(window, candidates.T, inside.T, axis=1)
-        for row, hit in zip(phase_distributions(batch, m, d), window):
-            hits += int(np.count_nonzero(hit[sample_outcomes(_checked(row, m, d), shots, rng)]))
+        # Row i is phase i's distribution; -1 marks a candidate outside its window.
+        windows = np.where(inside, candidates, -1).T
+        for row, window in zip(np.ascontiguousarray(table.T), windows):
+            drawn = sample_outcomes(_checked(row, m, d), shots, rng)
+            hits += int(np.count_nonzero(drawn[:, None] == window))
     if shots is None:
         return float(np.concatenate(sums).mean())
     return hits / (shots * len(phis))
@@ -326,16 +331,8 @@ def mean_success_probability(phis: np.ndarray, m: int, d: int, shots: int | None
 
 def sample_outcomes(dist: PhaseDistribution, shots: int, rng: SplitMix64) -> np.ndarray:
     """Draw measurement outcomes by inverting the cumulative distribution."""
-    shots = _check_count("shot count", shots, 1)
+    shots = check_int("shot count", shots, 1)
     cdf = np.cumsum(dist.probs)
     u = rng.random_array(shots)
     return np.minimum(np.searchsorted(cdf, u, side="right"), len(cdf) - 1)
 
-
-def _check_count(name: str, value, low: int) -> int:
-    """`value` as an int; ValueError unless an integer (not a bool) >= low."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < low:
-        raise ValueError(f"{name} must be >= {low}, got {value}")
-    return int(value)

@@ -34,6 +34,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .calibration import DEFAULT_NOISE_CONSTANT, ErrorBudget, error_budget
+from .circuits import check_depth, check_int
 from .numerics import (SplitMix64, SymmetricMatrix, circular_distance,
                        circular_distance_array, jacobi_eigh)
 from .qpe import phase_distribution, sample_outcomes
@@ -54,8 +55,7 @@ class TfimSpec:
     h: float = 0.5
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError(f"chain needs at least 2 sites, got {self.n}")
+        object.__setattr__(self, "n", check_int("site count n", self.n, 2))
         if not np.isfinite([self.j, self.h]).all():
             raise ValueError(f"coupling and field must be finite, got J={self.j}, h={self.h}")
         if self.n > MAX_SITES:
@@ -176,13 +176,11 @@ def qpe_energy_experiment(spec: TfimSpec, m: int, d: int | None = None,
     budget models the same configuration including hardware noise at
     `eps_2q`. ``d=None`` runs the full-depth circuit.
     """
+    m, depth = check_depth(m, m if d is None else d)
     eigenvalues, _ = spectrum(spec)
-    if not 0 <= eigenstate_index < len(eigenvalues):
-        raise ValueError(f"eigenstate index {eigenstate_index} outside "
-                         f"0..{len(eigenvalues) - 1}")
+    eigenstate_index = check_int("eigenstate index", eigenstate_index, 0, len(eigenvalues) - 1)
     energy = float(eigenvalues[eigenstate_index])
     encoded = encode_phase(energy, eigenvalues)
-    depth = m if d is None else d
 
     dist = phase_distribution(encoded.phi, m, depth)
     grid = np.round(encoded.phi * dist.dim) / dist.dim

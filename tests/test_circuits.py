@@ -12,6 +12,7 @@ from tqft.circuits import (
     CircuitPlan,
     apply_plan_to_array,
     bit_reversal_permutation,
+    check_depth,
     full_qft_matrix,
     gate_count,
     parse_plan,
@@ -119,6 +120,7 @@ _SIZE_AND_DEPTH_CALLS = {
     "phase_distributions": (lambda m, d: phase_distributions(np.array([0.1]), m, d), True),
     "platform_report": (lambda m, _d: platform_report(m), False),
     "cliff_depth": (lambda m, _d: cliff_depth(m), False),
+    "check_depth": (check_depth, True),
 }
 
 
@@ -127,12 +129,14 @@ def test_sizes_and_depths_must_be_integers(name):
     call, reads_depth = _SIZE_AND_DEPTH_CALLS[name]
     call(np.int64(6), np.int64(3))
     call(np.int32(6), 3)
-    bad = [(6.5, 3), (6.0, 3), (np.float64(6.0), 3)]
+    # (argument named in the error, its value, the call's (m, d))
+    bad = [("register size m", m, (m, 3)) for m in (6.5, 6.0, np.float64(6.0), True)]
     if reads_depth:
-        bad += [(6, 2.5), (6, 3.0), (6, np.float64(3.0))]
-    for m, d in bad:
-        with pytest.raises(ValueError, match="must be integers"):
-            call(m, d)
+        bad += [("truncation depth d", d, (6, d)) for d in (2.5, 3.0, np.float64(3.0), True)]
+    for named, value, args in bad:
+        with pytest.raises(ValueError, match=f"^{re.escape(named)} must be an integer, "
+                                             f"got {re.escape(repr(value))}$"):
+            call(*args)
 
 
 def test_bit_reversal_permutation():
@@ -150,8 +154,9 @@ def test_full_qft_matrix_small():
     expected = np.array([[w ** (x * y) for x in range(4)] for y in range(4)]) / 2.0
     assert np.allclose(u, expected, atol=1e-15)
     assert np.allclose(u @ u.conj().T, np.eye(4), atol=1e-14)
-    with pytest.raises(ValueError):
-        full_qft_matrix(9)
+    for m in (0, 9, 2.5, True):
+        with pytest.raises(ValueError, match="^register size m of the dense QFT test oracle must"):
+            full_qft_matrix(m)
 
 
 @pytest.mark.parametrize("m", range(1, 7))

@@ -177,6 +177,9 @@ def test_usage_error_exit_codes(tmp_path, capsys):
     ["rmse", "--m", "8", "--c", "-1"],
     ["platforms", "--m", "1"],
     ["tfim", "--n", "4", "--J", "0", "--h", "0", "--spectrum", "2"],
+    ["tfim", "--n", "4", "--spectrum", "0"],
+    ["tfim", "--n", "4", "--spectrum", "17"],
+    ["tvd", "--m", "0,4", "--phases", "8", "--grid", "0"],
     ["cliff", "--m", "4", "--d", "1", "--phases", "0", "--grid", "4", "--shots", "0"],
     ["cliff", "--m", "4", "--d", "1", "--grid", "-1"],
     ["tvd", "--m", "4", "--d", "2", "--phases", "-2"],
@@ -480,6 +483,19 @@ def test_output_dir_environment(tmp_path, monkeypatch):
     absolute = tmp_path / "direct.csv"
     assert main(["gates", "--m", "5", "--d", "3", "--out", str(absolute)]) == 0
     assert absolute.exists()
+    # a relative environment directory is applied once, by `suite` too
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    monkeypatch.setenv(cli.OUTPUT_DIR_ENV, "rel/dir")
+    assert main(["suite"]) == 0
+    names = sorted(name for name, _ in cli.SUITE)
+    assert sorted(p.name for p in (work / "rel" / "dir").iterdir()) == names
+    # a relative --out-dir lands under the environment directory, as --out does,
+    # and no directory is made anywhere else
+    assert main(["suite", "--out-dir", "artifacts"]) == 0
+    assert sorted(p.name for p in (work / "rel" / "dir" / "artifacts").iterdir()) == names
+    assert [p.name for p in work.iterdir()] == ["rel"]
 
 
 def _captured_run(argv):

@@ -77,6 +77,12 @@ def test_phase_distribution_validation():
     for probs in ([math.nan, 1.0], [0.0, math.nan], [math.nan, math.nan]):
         with pytest.raises(ValueError):
             PhaseDistribution(1, np.array(probs))
+    for m, probs in ((True, [0.5, 0.5]), (1.0, [0.5, 0.5]), (0, [1.0])):
+        with pytest.raises(ValueError, match="^register size m must "):
+            PhaseDistribution(m, np.array(probs))
+        with pytest.raises(ValueError, match="^register size m must "):
+            closed_form_full_distribution(0.3, m)
+    assert PhaseDistribution(np.int64(1), np.array([0.5, 0.5])).m == 1
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -105,8 +111,8 @@ def test_empty_phase_sample_is_a_bad_argument():
 
 
 def test_sampled_row_failing_its_check_is_a_numerical_failure(monkeypatch):
-    exact = qpe.phase_distributions
-    monkeypatch.setattr(qpe, "phase_distributions",
+    exact = qpe._fill
+    monkeypatch.setattr(qpe, "_fill",
                         lambda phis, m, d: np.full_like(exact(phis, m, d), math.nan))
     with pytest.raises(ArithmeticError):
         mean_success_probability([0.3], 4, 4, 10, SplitMix64(1))
@@ -405,7 +411,7 @@ def test_sampled_success_needs_a_generator(monkeypatch):
     def no_table(*args):
         raise AssertionError("a table was built")
 
-    monkeypatch.setattr(qpe, "phase_distributions", no_table)
+    monkeypatch.setattr(qpe, "_fill", no_table)
     with pytest.raises(ValueError, match="rng"):
         mean_success_probability(grid_phases(8), 4, 2, shots=10)
 

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -38,6 +39,12 @@ def test_spec_validation():
     for j, h in ((math.nan, 0.5), (1.0, math.inf), (-math.inf, 0.5)):
         with pytest.raises(ValueError):
             TfimSpec(4, j, h)
+    for n in (2.5, np.float64(4.0), True):
+        message = f"site count n must be an integer, got {n!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            TfimSpec(n)
+    assert type(TfimSpec(np.int64(4)).n) is int and TfimSpec(np.int64(4)) == spec
+    assert TfimSpec(np.int32(3)).dim == 8
 
 
 def test_hamiltonian_two_site_matrix():
@@ -273,6 +280,26 @@ def test_experiment_validation():
         qpe_energy_experiment(TfimSpec(4), m=8, d=None, shots=0)
     with pytest.raises(ValueError):
         qpe_energy_experiment(TfimSpec(4), m=8, d=9)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"m": True}, "register size m must be an integer, got True"),
+    ({"m": 8, "d": True}, "truncation depth d must be an integer, got True"),
+    ({"m": 8, "eigenstate_index": True}, "eigenstate index must be an integer, got True"),
+    ({"m": 8, "eigenstate_index": 2.5}, "eigenstate index must be an integer, got 2.5"),
+    ({"m": 8, "eigenstate_index": 16}, "eigenstate index must lie in 0..15, got 16"),
+], ids=["m", "d", "index_bool", "index_float", "index_range"])
+def test_experiment_integers_must_be_integers(kwargs, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        qpe_energy_experiment(TfimSpec(4), **kwargs)
+
+
+def test_experiment_accepts_numpy_integers():
+    result = qpe_energy_experiment(TfimSpec(4), m=np.int64(8), d=np.int32(5),
+                                   eigenstate_index=np.int64(3))
+    fields = (result.m, result.depth, result.eigenstate_index)
+    assert fields == (8, 5, 3) and all(type(v) is int for v in fields)
+    assert result == qpe_energy_experiment(TfimSpec(4), m=8, d=5, eigenstate_index=3)
 
 
 def test_tiny_coupling_spectrum_is_warning_free():
