@@ -41,8 +41,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .calibration import (DEFAULT_NOISE_CONSTANT, cliff_depth, crossover_error_rate,
-                          error_budget, load_platforms, platform_report, tvd_bound)
+from .calibration import (DEFAULT_NOISE_CONSTANT, DEFAULT_PLATFORMS, cliff_depth,
+                          crossover_error_rate, error_budget, load_platforms,
+                          platform_report, tvd_bound)
 from .circuits import check_int, gate_count, plan_truncated_qft, serialize_plan
 from .numerics import ConvergenceError, SplitMix64
 from .qpe import default_phase_sample, max_tvd_scan, mean_success_probability
@@ -149,30 +150,34 @@ def parse_float_list(text: str) -> list[float]:
     return values
 
 
-def _depths_for(args) -> list[tuple[int, range | list[int]]]:
-    """Each --m value with its depths: 1..m for 'all', else the requested d <= m.
+def _depths_for(args, below: int = 0, rates: int = 1) -> list[tuple[int, range | list[int]]]:
+    """Each --m value with its depths: 1..m - below for 'all', else the requested
+    d <= m - below (crossover, which needs d < m, passes below=1).
 
-    Requested depths keep the order they were given in. Rows are counted
-    by bisection on a sorted copy and capped before any list is built.
+    A requested depth above every m - below is a usage error naming it; the
+    others keep the order they were given in. Rows, `rates` per depth, are
+    counted by bisection on a sorted copy and capped before any list is built.
     """
-    ms = parse_int_list(args.m)
+    ms = parse_int_list(str(args.m))
     if ms is None:
         raise UsageError("--m must be explicit (no 'all')")
-    check_int("--m", min(ms), 1)
+    check_int("--m", min(ms), 1 + below)
+    tops = [m - below for m in ms]
     ds = parse_int_list(args.d)
     if ds is None:
-        counts = ms
+        counts = tops
+    elif max(ds) > max(tops):
+        raise UsageError(f"depth {max(ds)} fits no register size in --m {args.m}: "
+                         f"the deepest allowed is {max(tops)}")
     else:
         order = sorted(range(len(ds)), key=ds.__getitem__)
         ascending = [ds[i] for i in order]
-        counts = [bisect_right(ascending, m) for m in ms]
-    _check_rows(sum(counts), f"--m {args.m} --d {args.d}")
-    if not sum(counts):
-        raise UsageError(f"no requested depth fits a register size (need d <= m): "
-                         f"--m {args.m} --d {args.d}")
-    # The depths d <= m are the first `count` of the sorted order.
-    return [(m, range(1, m + 1) if ds is None else [ds[i] for i in sorted(order[:count])])
-            for m, count in zip(ms, counts)]
+        counts = [bisect_right(ascending, top) for top in tops]
+    _check_rows(sum(counts) * rates, f"--m {args.m} --d {args.d}"
+                + (f" at {rates} error rates" if rates > 1 else ""))
+    # The depths d <= m - below are the first `count` of the sorted order.
+    return [(m, range(1, top + 1) if ds is None else [ds[i] for i in sorted(order[:count])])
+            for m, top, count in zip(ms, tops, counts)]
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +301,8 @@ def cmd_cliff(args) -> int:
 
 def cmd_platforms(args) -> int:
     """Depth rule and gate budget for each registered device."""
-    platforms = load_platforms(args.file) if args.file else None
+    platforms = load_platforms(args.file) if args.file else DEFAULT_PLATFORMS
+    _check_rows(len(platforms), f"platform registry {args.file}")
     rows = [
         {"name": row.name, "eps_2q": row.eps_2q, "depth": row.depth,
          "gates_truncated": row.gates_truncated, "gates_full": row.gates_full,
@@ -308,12 +314,8 @@ def cmd_platforms(args) -> int:
 
 def cmd_rmse(args) -> int:
     """Three-term RMSE model: truncated vs full across an error-rate sweep."""
-    check_int("--m", args.m, 1)
-    ds = parse_int_list(args.d)
-    if ds is None:
-        ds = range(1, args.m + 1)
     eps_values = parse_float_list(args.eps)
-    _check_rows(len(ds) * len(eps_values), f"--d {args.d} --eps {args.eps}")
+    [(_, ds)] = _depths_for(args, rates=len(eps_values))
     rows = []
     for d in ds:
         for eps in eps_values:
@@ -331,11 +333,7 @@ def cmd_rmse(args) -> int:
 
 def cmd_crossover(args) -> int:
     """Error rate where the truncated circuit starts beating the full one."""
-    check_int("--m", args.m, 2)  # crossover needs a truncated depth d < m
-    ds = parse_int_list(args.d)
-    if ds is None:
-        ds = range(1, args.m)
-    _check_rows(len(ds), f"--m {args.m} --d {args.d}")
+    [(_, ds)] = _depths_for(args, below=1)
     rows = []
     for d in ds:
         rows.append({
@@ -521,7 +519,7 @@ def build_parser() -> _Parser:
     plan.add_argument("--m", type=int, required=True)
     plan.add_argument("--d", type=int, required=True)
     plan.add_argument("--out", default=None)
-    plan.set_defaults(func=cmd_plan, format="text")
+    plan.set_defaults(func=cmd_plan)
 
     suite = subs.add_parser("suite", help="run the default experiment set")
     suite.add_argument("--out-dir", default=None,

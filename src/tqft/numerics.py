@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .circuits import check_int
+
 
 class ConvergenceError(RuntimeError):
     """Eigensolver failed to converge within its sweep budget."""
@@ -60,7 +62,8 @@ class SplitMix64:
     """
 
     def __init__(self, seed: int):
-        self.seed = seed & _MASK
+        # Any integer, negative ones included: the seed is taken modulo 2^64.
+        self.seed = check_int("seed", seed, -math.inf) & _MASK
         self._counter = 0
 
     def next_u64(self) -> int:
@@ -71,6 +74,7 @@ class SplitMix64:
 
     def next_u64_array(self, n: int) -> np.ndarray:
         """The next n outputs; next_u64 and random draw batches of one."""
+        n = check_int("draw count n", n, 0)
         counters = np.arange(self._counter + 1, self._counter + n + 1, dtype=np.uint64)
         self._counter += n
         z = np.uint64(self.seed) + counters * np.uint64(_GAMMA)
@@ -83,7 +87,7 @@ class SplitMix64:
 
     def spawn(self, task_index: int) -> "SplitMix64":
         """Independent generator for parallel task `task_index` (seed + index)."""
-        return SplitMix64((self.seed + task_index) & _MASK)
+        return SplitMix64(self.seed + check_int("task index", task_index, -math.inf))
 
 
 def circular_distance(a: float, b: float) -> float:

@@ -42,6 +42,14 @@ from .numerics import SplitMix64, circular_distance_array
 DIST_MAX_QUBITS = 20  # distribution experiments stay desk-scale
 SCAN_MAX_QUBITS = 12  # scans over a phase sample (max_tvd_scan, mean success) get a tighter cap
 
+# Most seeded phases, and most grid points, one sample may hold. Both at the
+# cap (200 000 phases) take `tvd --m 12 --d all` 50 s, 0.25 ms a phase
+# (2-vCPU Xeon, Python 3.11, numpy 2.4); time grows linearly with the count.
+MAX_PHASES = 100_000
+# Most outcomes drawn per phase: 10^6 draws add 0.08 s and 23 MB to a
+# `tfim --n 16 --m 12` trial (0.17 s in all), inside its 1 s budget.
+MAX_SHOTS = 1_000_000
+
 # Table entries per block: 2 MiB of float64, the L2 of one core. Every
 # table path fills BLOCK_ENTRIES >> m phases at a time (at least one).
 # Medians of 7 interleaved runs on the default 4596-phase sample (2-vCPU
@@ -219,13 +227,13 @@ def closed_form_full_distribution(phi: float, m: int) -> PhaseDistribution:
 
 def random_phases(count: int, seed: int) -> np.ndarray:
     """`count` phases drawn uniformly from [0, 1) with the package PRNG."""
-    count = check_int("phase count", count, 0)
+    count = check_int("phase count", count, 0, MAX_PHASES)
     return SplitMix64(seed).random_array(count)
 
 
 def grid_phases(points: int) -> np.ndarray:
     """Uniform grid 0, 1/points, ..., (points-1)/points."""
-    points = check_int("grid point count", points, 0)
+    points = check_int("grid point count", points, 0, MAX_PHASES)
     return np.arange(points) / points
 
 
@@ -303,7 +311,7 @@ def mean_success_probability(phis: np.ndarray, m: int, d: int, shots: int | None
     if shots is not None and rng is None:
         raise ValueError(f"sampled mode (shots={shots}) needs a generator rng, got None")
     if shots is not None:
-        shots = check_int("shot count", shots, 1)
+        shots = check_int("shot count", shots, 1, MAX_SHOTS)
     m, d = check_depth(m, d)
     phis = _reduced_phases(phis, m, SCAN_MAX_QUBITS)  # checks the whole sample first
     n_out, cols = 1 << m, max(1, BLOCK_ENTRIES >> m)
@@ -331,7 +339,7 @@ def mean_success_probability(phis: np.ndarray, m: int, d: int, shots: int | None
 
 def sample_outcomes(dist: PhaseDistribution, shots: int, rng: SplitMix64) -> np.ndarray:
     """Draw measurement outcomes by inverting the cumulative distribution."""
-    shots = check_int("shot count", shots, 1)
+    shots = check_int("shot count", shots, 1, MAX_SHOTS)
     cdf = np.cumsum(dist.probs)
     u = rng.random_array(shots)
     return np.minimum(np.searchsorted(cdf, u, side="right"), len(cdf) - 1)

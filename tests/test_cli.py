@@ -183,6 +183,10 @@ def test_usage_error_exit_codes(tmp_path, capsys):
     ["cliff", "--m", "4", "--d", "1", "--phases", "0", "--grid", "4", "--shots", "0"],
     ["cliff", "--m", "4", "--d", "1", "--grid", "-1"],
     ["tvd", "--m", "4", "--d", "2", "--phases", "-2"],
+    ["tvd", "--m", "4", "--d", "2", "--phases", f"{qpe.MAX_PHASES + 1}", "--grid", "0"],
+    ["cliff", "--m", "4", "--d", "1", "--grid", f"{qpe.MAX_PHASES + 1}"],
+    ["cliff", "--m", "4", "--d", "1", "--grid", "4", "--shots", f"{qpe.MAX_SHOTS + 1}"],
+    ["tfim", "--n", "2", "--m", "4", "--shots", f"{qpe.MAX_SHOTS + 1}"],
     ["rmse", "--m", "8", "--d", "3", "--eps", "1e-3", "--c", "nan"],
     ["crossover", "--m", "16", "--d", "11", "--c", "nan"],
     ["tfim", "--n", "4", "--m", "8", "--eps", "nan"],
@@ -228,6 +232,42 @@ def test_oversize_sweep_names_the_cap(argv, tmp_path, capsys):
     assert payload["error"] == "UsageError"
     assert f"cap of {MAX_ROWS}" in payload["message"]
     assert not out.exists()
+
+
+def test_oversize_registry_names_the_cap(tmp_path, capsys):
+    registry = tmp_path / "registry.csv"
+    registry.write_text("name,eps_2q\n" + "".join(f"dev{i},1e-3\n" for i in range(MAX_ROWS + 1)))
+    out = tmp_path / "platforms.csv"
+    assert main(["platforms", "--m", "30", "--file", str(registry), "--out", str(out)]) == 1
+    payload = json.loads(capsys.readouterr().err.splitlines()[0])
+    assert payload["error"] == "UsageError"
+    assert f"{MAX_ROWS + 1} rows, over the cap of {MAX_ROWS}" in payload["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, ms", [
+    (["gates"], "4,30"),
+    (["tvd", "--phases", "4", "--grid", "4"], "4,12"),  # scans take m <= 12
+    (["cliff", "--grid", "4"], "4,12"),
+    (["rmse", "--eps", "1e-3"], "16"),  # one --m value
+    (["crossover"], "16"),
+], ids=lambda value: value if isinstance(value, str) else value[0])
+def test_every_sweep_applies_one_depth_rule(argv, ms, tmp_path, capsys):
+    """A requested depth above every --m (above m - 1 for crossover) exits 1
+    before any work and names the depth; a depth that fits some --m values
+    is used for those, in the order given."""
+    m, depths, refused = ("16", "11,16", 16) if argv[0] == "crossover" else ("6", "5,9", 9)
+    out = tmp_path / "refused.csv"
+    assert main(argv + ["--m", m, "--d", depths, "--out", str(out)]) == 1
+    payload = json.loads(capsys.readouterr().err.splitlines()[0])
+    assert payload["error"] == "UsageError"
+    assert f"depth {refused} fits no register size" in payload["message"]
+    assert not out.exists()
+    out = tmp_path / "kept.csv"
+    assert main(argv + ["--m", ms, "--d", "5,2,9", "--out", str(out)]) == 0
+    _, rows = read_artifact(out)
+    fitting = [(size, d) for size in ms.split(",") for d in ("5", "2", "9") if int(d) <= int(size)]
+    assert [(r["m"], r["d"]) for r in rows] == fitting
 
 
 def test_malformed_registry_is_a_usage_error(tmp_path, capsys):

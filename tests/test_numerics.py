@@ -75,6 +75,33 @@ def test_splitmix_uniform_and_spawn():
     assert not np.array_equal(parent, child)
 
 
+@pytest.mark.parametrize("call", [
+    lambda bad: SplitMix64(bad),
+    lambda bad: SplitMix64(1).spawn(bad),
+    lambda bad: SplitMix64(1).next_u64_array(bad),
+    lambda bad: SplitMix64(1).random_array(bad),
+], ids=["seed", "spawn", "next_u64_array", "random_array"])
+@pytest.mark.parametrize("bad", [2.5, True, False, np.float64(3.0), "3"])
+def test_splitmix_arguments_must_be_integers(call, bad):
+    with pytest.raises(ValueError, match="must be an integer"):
+        call(bad)
+
+
+def test_splitmix_draw_count_is_not_negative():
+    with pytest.raises(ValueError, match="^draw count n must be >= 0, got -1$"):
+        SplitMix64(1).random_array(-1)
+    assert SplitMix64(1).random_array(0).shape == (0,)
+
+
+def test_splitmix_seeds_are_any_integer_modulo_2_64():
+    top = SplitMix64(2**64 - 1).next_u64_array(3).tolist()
+    for seed in (-1, ~0, -(2**64) - 1, np.int64(-1), np.uint64(2**64 - 1)):
+        assert SplitMix64(seed).next_u64_array(3).tolist() == top
+    assert SplitMix64(2**64 + 42).next_u64_array(5).tolist() == SPLITMIX_REFERENCE[42]
+    assert SplitMix64(10).spawn(-3).next_u64() == SplitMix64(7).next_u64()
+    assert SplitMix64(10).spawn(np.int32(3)).next_u64() == SplitMix64(13).next_u64()
+
+
 def test_circular_distance_examples():
     assert circular_distance(0.1, 0.9) == pytest.approx(0.2)
     assert circular_distance(0.0, 0.5) == pytest.approx(0.5)

@@ -437,11 +437,24 @@ def test_bad_shot_count_is_rejected_before_any_work(shots, monkeypatch):
     lambda bad: default_phase_sample(1, bad, 4),
     lambda bad: default_phase_sample(1, 4, bad),
     lambda bad: sample_outcomes(phase_distribution(0.3, 3, 2), bad, SplitMix64(1)),
-], ids=["grid", "random", "sample_count", "sample_grid", "sample_outcomes"])
+    lambda bad: default_phase_sample(bad, 3, 0),
+], ids=["grid", "random", "sample_count", "sample_grid", "sample_outcomes", "sample_seed"])
 @pytest.mark.parametrize("bad", [2.5, True, False, np.float64(3.0), "3"])
 def test_counts_must_be_integers(call, bad):
     with pytest.raises(ValueError, match="must be an integer"):
         call(bad)
+
+
+@pytest.mark.parametrize("call, cap", [
+    (lambda n: grid_phases(n), qpe.MAX_PHASES),
+    (lambda n: random_phases(n, 1), qpe.MAX_PHASES),
+    (lambda n: mean_success_probability([0.3], 3, 2, n, SplitMix64(1)), qpe.MAX_SHOTS),
+    (lambda n: sample_outcomes(phase_distribution(0.3, 3, 2), n, SplitMix64(1)), qpe.MAX_SHOTS),
+], ids=["grid", "random", "mean_success", "sample_outcomes"])
+def test_counts_are_capped(call, cap):
+    call(cap)
+    with pytest.raises(ValueError, match=f"must lie in [01]..{cap}, got {cap + 1}$"):
+        call(cap + 1)
 
 
 def test_numpy_integer_counts_are_accepted():
