@@ -55,7 +55,6 @@ from .qpe import (
     success_probability,
 )
 from .tfim import (
-    EncodedPhase,
     QpeEnergyResult,
     TfimSpec,
     build_hamiltonian,
@@ -107,7 +106,6 @@ __all__ = [
     "optimal_depth",
     "platform_report",
     "tvd_bound",
-    "EncodedPhase",
     "QpeEnergyResult",
     "TfimSpec",
     "build_hamiltonian",

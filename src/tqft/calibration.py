@@ -81,7 +81,7 @@ def equal_budget_depth(alpha: float, m: int) -> float:
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"failure budget must lie in (0, 1), got {alpha}")
-    check_depth(m)
+    check_int("register size m", m, 1)
     return math.log2(math.pi * m / alpha)
 
 

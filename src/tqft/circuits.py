@@ -107,8 +107,8 @@ def check_int(name: str, value, low: int, high: int | None = None) -> int:
     return int(value)
 
 
-def check_depth(m: int, d: int = 1) -> tuple[int, int]:
-    """(m, d) as ints; ValueError unless integers with 1 <= d <= m (d = 1: m alone)."""
+def check_depth(m: int, d: int) -> tuple[int, int]:
+    """(m, d) as ints; ValueError unless integers with 1 <= d <= m."""
     m = check_int("register size m", m, 1)
     return m, check_int("truncation depth d", d, 1, m)
 

@@ -64,6 +64,9 @@ EXIT_VIOLATION = 3
 # hold. 10 000 `rmse` rows take 0.25 s and 7 MB over the 29 MB interpreter
 # (2-vCPU Xeon, Python 3.11, numpy 2.4); cost grows linearly with the count.
 MAX_ROWS = 10_000
+# Most outcomes one `cliff --shots` run may draw (shots x phases x rows). A draw
+# takes 55-70 ns (same machine), so a run at the cap takes about a minute.
+MAX_DRAWS = 10**9
 
 
 class UsageError(ValueError):
@@ -285,8 +288,14 @@ def cmd_gates(args) -> int:
 def cmd_cliff(args) -> int:
     """Mean estimation success vs depth, around the collapse threshold."""
     sample = default_phase_sample(args.seed, args.phases, args.grid)
+    sweep = _depths_for(args)
+    count = sum(len(m_depths) for _, m_depths in sweep)
+    draws = (args.shots or 0) * len(sample) * count
+    if draws > MAX_DRAWS:
+        raise UsageError(f"--shots {args.shots} over {len(sample)} phases and {count} rows "
+                         f"gives {draws} draws, over the cap of {MAX_DRAWS}")
     rows = []
-    for m, m_depths in _depths_for(args):
+    for m, m_depths in sweep:
         marker = cliff_depth(m)
         for d in m_depths:
             exact = mean_success_probability(sample, m, d)
@@ -316,31 +325,30 @@ def cmd_rmse(args) -> int:
     """Three-term RMSE model: truncated vs full across an error-rate sweep."""
     eps_values = parse_float_list(args.eps)
     [(_, ds)] = _depths_for(args, rates=len(eps_values))
+    # The full circuit does not depend on d: one budget per rate, one gate count.
+    full_rmse = [error_budget(args.m, None, eps, args.c).rmse for eps in eps_values]
+    gates_full = gate_count(args.m, args.m)
     rows = []
     for d in ds:
-        for eps in eps_values:
-            truncated = error_budget(args.m, d, eps, args.c)
-            full = error_budget(args.m, None, eps, args.c)
-            rows.append({
-                "m": args.m, "d": d, "eps_2q": eps, "c": args.c,
-                "tv_bound": tvd_bound(args.m, d, form="loose"),
-                "gates": gate_count(args.m, d),
-                "gates_full": gate_count(args.m, args.m),
-                "rmse_truncated": truncated.rmse, "rmse_full": full.rmse,
-            })
+        tv, gates = tvd_bound(args.m, d, form="loose"), gate_count(args.m, d)
+        for eps, rmse_full in zip(eps_values, full_rmse):
+            rows.append({"m": args.m, "d": d, "eps_2q": eps, "c": args.c, "tv_bound": tv,
+                         "gates": gates, "gates_full": gates_full,
+                         "rmse_truncated": error_budget(args.m, d, eps, args.c).rmse,
+                         "rmse_full": rmse_full})
     return _emit(args, rows)
 
 
 def cmd_crossover(args) -> int:
     """Error rate where the truncated circuit starts beating the full one."""
     [(_, ds)] = _depths_for(args, below=1)
+    gates_full = gate_count(args.m, args.m)
     rows = []
     for d in ds:
         rows.append({
             "m": args.m, "d": d, "c": args.c,
             "tv_bound": tvd_bound(args.m, d, form="loose"),
-            "gates_truncated": gate_count(args.m, d),
-            "gates_full": gate_count(args.m, args.m),
+            "gates_truncated": gate_count(args.m, d), "gates_full": gates_full,
             "crossover_eps": crossover_error_rate(args.m, d, args.c),
         })
     return _emit(args, rows)
@@ -353,14 +361,12 @@ def cmd_tfim(args) -> int:
         count = check_int("--spectrum", spec.dim if args.spectrum is None else args.spectrum,
                           1, spec.dim)
         _check_rows(count, f"--n {spec.n} --spectrum {count}")
-        eigenvalues, _ = spectrum(spec)
-        # max |E| of an ascending spectrum sits at one of its ends.
-        ends = eigenvalues[[0, -1]]
+        levels, e_scale = spectrum(spec)
         rows = []
         for index in range(count):
-            energy = float(eigenvalues[index])
+            energy = float(levels[index])
             rows.append({"n": spec.n, "j": spec.j, "h": spec.h, "index": index,
-                         "energy": energy, "phi": encode_phase(energy, ends).phi})
+                         "energy": energy, "phi": encode_phase(energy, e_scale)})
         return _emit(args, rows)
 
     result = qpe_energy_experiment(spec, args.m, args.d, eps_2q=args.eps, c=args.c,

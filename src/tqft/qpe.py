@@ -214,7 +214,7 @@ def closed_form_full_distribution(phi: float, m: int) -> PhaseDistribution:
     delta = phi - y/N, and the 0/0 limit 1 at delta = 0. Independent of the
     circuit path; serves as its test oracle.
     """
-    m, _ = check_depth(m)
+    m = check_int("register size m", m, 1)
     phi = _reduced_phases([phi], m, DIST_MAX_QUBITS)[0]
     n = 1 << m
     delta = phi - np.arange(n) / n

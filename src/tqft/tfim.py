@@ -13,10 +13,10 @@ eigenvalues are +-eps_k, and builds the 2^n levels sum_k +-eps_k/2 by
 doubling. The dense 2^n x 2^n Hamiltonian (`build_hamiltonian`, site i is
 bit i of the basis index, Z|0> = +|0>) remains as the test oracle.
 
-Each eigenvalue maps onto the phase 1/2 + E / (4 * E_scale), E_scale =
-max |E_i|. An experiment then scores how well depth-d phase estimation
-recovers an eigenvalue, pairing the simulated error with the analytic
-budget.
+Each eigenvalue maps onto the phase 1/2 + E / (4 * E_scale), where
+E_scale = max |E_i| comes from `spectrum` alongside the levels. An
+experiment then scores how well depth-d phase estimation recovers an
+eigenvalue, pairing the simulated error with the analytic budget.
 
 The band [-E_scale, E_scale] lands on [1/4, 3/4], so the map is injective
 and an estimate less than a quarter turn off decodes without wrapping. The
@@ -29,7 +29,7 @@ that need a generic target use an off-grid excited state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,53 +89,46 @@ def build_hamiltonian(spec: TfimSpec) -> SymmetricMatrix:
     return SymmetricMatrix(entries)
 
 
-def spectrum(spec: TfimSpec) -> tuple[np.ndarray, np.ndarray]:
-    """The 2^n levels (ascending) and the n mode energies eps_k (ascending).
-
-    The eps_k are the singular values of A, read from the +-eps_k spectrum
-    of [[0, A], [A^T, 0]]; forming A^T A instead would square a near-zero
-    edge mode and lose half its digits. Each level and its complement are
-    built from the same sums with opposite signs, so they are exact
-    negatives.
-    """
+def _mode_energies(spec: TfimSpec) -> np.ndarray:
+    """The singular values eps_k of A (ascending), read from the +-eps_k
+    spectrum of [[0, A], [A^T, 0]]; forming A^T A instead would square a
+    near-zero edge mode and lose half its digits."""
     n = spec.n
     a = 2.0 * spec.h * np.eye(n) - 2.0 * spec.j * np.eye(n, k=1)
     zero = np.zeros((n, n))
     signed, _ = jacobi_eigh(SymmetricMatrix(np.block([[zero, a], [a.T, zero]])))
-    modes = (signed[n:] - signed[n - 1::-1]) / 2.0
+    return (signed[n:] - signed[n - 1::-1]) / 2.0
+
+
+def spectrum(spec: TfimSpec) -> tuple[np.ndarray, float]:
+    """The 2^n levels (ascending) and the energy scale E_scale = max |E|.
+
+    Each level and its complement are built from the same sums of +-eps_k/2
+    with opposite signs, so they are exact negatives and E_scale is both
+    the top level and minus the ground level.
+    """
     levels = np.zeros(1)
-    for eps in modes:
+    for eps in _mode_energies(spec):
         levels = np.concatenate([levels - eps / 2.0, levels + eps / 2.0])
-    return np.sort(levels, kind="stable"), modes
+    return np.sort(levels, kind="stable"), float(np.max(np.abs(levels)))
 
 
 _SCALES_PER_TURN = 4.0  # energy per turn of phase, in units of E_scale
 
 
-@dataclass(frozen=True)
-class EncodedPhase:
-    """An eigenvalue mapped to the phase 1/2 + E / (4 * E_scale) in [1/4, 3/4]."""
-
-    phi: float
-    e_scale: float
-
-
-def encode_phase(energy: float, eigenvalues: np.ndarray) -> EncodedPhase:
-    """Map energy to phase 1/2 + E / (4 * E_scale), E_scale = max |E_i|."""
-    if len(eigenvalues) == 0:
-        raise ValueError("cannot encode against an empty spectrum")
-    e_scale = float(np.max(np.abs(eigenvalues)))
+def encode_phase(energy: float, e_scale: float) -> float:
+    """Map an energy in [-E_scale, E_scale] to the phase 1/2 + E / (4 * E_scale)."""
     if e_scale == 0.0:
         raise ValueError("spectrum is identically zero; phase encoding is undefined")
     if abs(energy) > e_scale:
         raise ValueError(f"energy {energy} lies outside [-E_scale, E_scale] = "
                          f"[{-e_scale}, {e_scale}]")
-    return EncodedPhase(0.5 + energy / (_SCALES_PER_TURN * e_scale), e_scale)
+    return 0.5 + energy / (_SCALES_PER_TURN * e_scale)
 
 
-def decode_phase(encoded: EncodedPhase) -> float:
+def decode_phase(phi: float, e_scale: float) -> float:
     """Invert the map for any phase: E = (phi - 1/2) * 4 * E_scale."""
-    return (encoded.phi - 0.5) * _SCALES_PER_TURN * encoded.e_scale
+    return (phi - 0.5) * _SCALES_PER_TURN * e_scale
 
 
 @dataclass(frozen=True)
@@ -177,16 +170,16 @@ def qpe_energy_experiment(spec: TfimSpec, m: int, d: int | None = None,
     `eps_2q`. ``d=None`` runs the full-depth circuit.
     """
     m, depth = check_depth(m, m if d is None else d)
-    eigenvalues, _ = spectrum(spec)
-    eigenstate_index = check_int("eigenstate index", eigenstate_index, 0, len(eigenvalues) - 1)
-    energy = float(eigenvalues[eigenstate_index])
-    encoded = encode_phase(energy, eigenvalues)
+    levels, e_scale = spectrum(spec)
+    eigenstate_index = check_int("eigenstate index", eigenstate_index, 0, len(levels) - 1)
+    energy = float(levels[eigenstate_index])
+    phi = encode_phase(energy, e_scale)
 
-    dist = phase_distribution(encoded.phi, m, depth)
-    grid = np.round(encoded.phi * dist.dim) / dist.dim
-    on_grid = circular_distance(encoded.phi, float(grid)) < GRID_TOL
+    dist = phase_distribution(phi, m, depth)
+    grid = np.round(phi * dist.dim) / dist.dim
+    on_grid = circular_distance(phi, float(grid)) < GRID_TOL
 
-    deviations = circular_distance_array(dist.outcomes(), encoded.phi)
+    deviations = circular_distance_array(dist.outcomes(), phi)
     phase_rmse = float(np.sqrt(np.sum(dist.probs * deviations**2)))
 
     weights, sampled_rmse = dist.probs, None
@@ -198,11 +191,10 @@ def qpe_energy_experiment(spec: TfimSpec, m: int, d: int | None = None,
 
     return QpeEnergyResult(
         m=m, depth=depth, eigenstate_index=eigenstate_index,
-        true_energy=energy, e_scale=encoded.e_scale, phi=encoded.phi,
+        true_energy=energy, e_scale=e_scale, phi=phi,
         on_grid=on_grid, estimated_phase=estimated_phase,
-        estimated_energy=decode_phase(replace(encoded, phi=estimated_phase)),
-        phase_rmse=phase_rmse,
-        energy_rmse=_SCALES_PER_TURN * encoded.e_scale * phase_rmse,
+        estimated_energy=decode_phase(estimated_phase, e_scale),
+        phase_rmse=phase_rmse, energy_rmse=_SCALES_PER_TURN * e_scale * phase_rmse,
         budget=error_budget(m, depth, eps_2q, c),
         shots=shots, sampled_phase_rmse=sampled_rmse,
     )

@@ -15,6 +15,7 @@ from tqft import cli, qpe
 from tqft.calibration import cliff_depth, crossover_error_rate, error_budget
 from tqft.circuits import gate_count, parse_plan, plan_truncated_qft
 from tqft.cli import (
+    MAX_DRAWS,
     MAX_ROWS,
     UsageError,
     main,
@@ -483,6 +484,48 @@ def test_cliff_sampled_stream_is_pinned(tmp_path):
     assert [row["success_sampled"] for row in rows] == [
         "0.21833333333333332", "0.62333333333333329", "0.83833333333333337",
         "0.8783333333333333", "0.8666666666666667"]
+
+
+def test_cliff_draw_cap_refuses_before_any_table(monkeypatch, tmp_path, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the cap was not checked before the first table")
+
+    monkeypatch.setattr(cli, "mean_success_probability", refuse)
+    out = tmp_path / "cliff.csv"
+    # 12 rows x 100 000 phases x 10^6 shots: each flag within its own cap.
+    assert main(["cliff", "--m", "12", "--d", "all", "--grid", "100000",
+                 "--shots", "1000000", "--out", str(out)]) == 1
+    payload = json.loads(capsys.readouterr().err.splitlines()[0])
+    assert payload["error"] == "UsageError"
+    assert f"1200000000000 draws, over the cap of {MAX_DRAWS}" in payload["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cap, code", [(128, 0), (127, 1)])
+def test_cliff_draw_cap_counts_shots_phases_and_rows(monkeypatch, tmp_path, cap, code):
+    monkeypatch.setattr(cli, "MAX_DRAWS", cap)
+    # 16 shots x 4 phases x 2 rows = 128 draws
+    assert main(["cliff", "--m", "4", "--d", "1,2", "--grid", "4", "--shots", "16",
+                 "--out", str(tmp_path / "cliff.csv")]) == code
+
+
+def test_rmse_builds_each_full_circuit_budget_once(monkeypatch, tmp_path):
+    calls = []
+
+    def counted(m, d, eps_2q, c):
+        calls.append(d)
+        return error_budget(m, d, eps_2q, c)
+
+    monkeypatch.setattr(cli, "error_budget", counted)
+    out = tmp_path / "rmse.csv"
+    assert main(["rmse", "--m", "6", "--d", "all", "--eps", "1e-3..1e-2:log3",
+                 "--out", str(out)]) == 0
+    assert len(calls) == 21  # 6 depths x 3 rates, and one full budget per rate
+    assert calls.count(None) == 3
+    _, rows = read_artifact(out)
+    for row in rows:
+        assert float(row["rmse_full"]) == error_budget(6, None, float(row["eps_2q"])).rmse
+        assert int(row["gates_full"]) == gate_count(6, 6)
 
 
 def test_repeat_runs_byte_identical(tmp_path):

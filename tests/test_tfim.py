@@ -1,8 +1,6 @@
 import math
 import re
 import tracemalloc
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -12,8 +10,8 @@ from tqft.calibration import error_budget
 from tqft.numerics import circular_distance, jacobi_eigh
 from tqft.qpe import phase_distributions
 from tqft.tfim import (
-    EncodedPhase,
     TfimSpec,
+    _mode_energies,
     build_hamiltonian,
     decode_phase,
     encode_phase,
@@ -86,7 +84,8 @@ def test_dense_oracle_refuses_long_chains_before_allocating():
 
 
 def test_benchmark_spectrum_reference():
-    vals, modes = spectrum(TfimSpec(4, 1.0, 0.5))
+    vals, _ = spectrum(TfimSpec(4, 1.0, 0.5))
+    modes = _mode_energies(TfimSpec(4, 1.0, 0.5))
     assert vals[:4] == pytest.approx(LOWEST_FOUR, rel=1e-12)
     assert len(modes) == 4 and np.all(np.diff(modes) >= 0.0)
     # the dense oracle's eigenpairs actually solve the problem
@@ -139,10 +138,27 @@ def test_free_fermion_levels_property(n, j, h):
 @pytest.mark.parametrize("j,h", ORACLE_COUPLINGS)
 @pytest.mark.parametrize("n", [2, 5, 16])
 def test_levels_are_exact_negatives_and_edges_encode_exactly(n, j, h):
-    vals, _ = spectrum(TfimSpec(n, j, h))
+    vals, e_scale = spectrum(TfimSpec(n, j, h))
     assert np.array_equal(vals, -vals[::-1])
-    assert encode_phase(float(vals[0]), vals).phi == 0.25
-    assert encode_phase(float(vals[-1]), vals).phi == 0.75
+    assert encode_phase(float(vals[0]), e_scale) == 0.25
+    assert encode_phase(float(vals[-1]), e_scale) == 0.75
+
+
+# Every finite coupling whose levels stay finite: subnormal to 1e150, either sign.
+_FINITE_COUPLING = st.one_of(st.just(0.0), st.floats(-1e150, 1e150),
+                             st.sampled_from([1e-200, -1e-200, 4e-267, 1e150, -1e150]))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(n=st.integers(2, 16), j=_FINITE_COUPLING, h=_FINITE_COUPLING)
+def test_spectrum_returns_the_energy_scale(n, j, h):
+    assume(j != 0.0 or h != 0.0)
+    levels, e_scale = spectrum(TfimSpec(n, j, h))
+    assert type(e_scale) is float
+    assert np.float64(e_scale).tobytes() == np.abs(levels).max().tobytes()
+    assert e_scale == levels[-1] == -levels[0]
+    assert encode_phase(float(levels[0]), e_scale) == 0.25
+    assert encode_phase(float(levels[-1]), e_scale) == 0.75
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -169,17 +185,15 @@ def test_spectrum_symmetric_about_zero(n):
 
 
 def test_encode_decode_roundtrip():
-    vals, _ = spectrum(TfimSpec(4, 1.0, 0.5))
+    vals, e_scale = spectrum(TfimSpec(4, 1.0, 0.5))
     for energy in vals:
-        encoded = encode_phase(float(energy), vals)
-        assert 0.25 <= encoded.phi <= 0.75
-        assert decode_phase(encoded) == pytest.approx(float(energy), abs=1e-12)
+        phi = encode_phase(float(energy), e_scale)
+        assert 0.25 <= phi <= 0.75
+        assert decode_phase(phi, e_scale) == pytest.approx(float(energy), abs=1e-12)
     # band edges: bottom at phase 1/4, top at 3/4
-    bottom = encode_phase(float(vals[0]), vals)
-    assert bottom.phi == 0.25
-    top = encode_phase(float(vals[-1]), vals)
-    assert top.phi == 0.75
-    assert decode_phase(top) == pytest.approx(float(vals[-1]))
+    assert encode_phase(float(vals[0]), e_scale) == 0.25
+    assert encode_phase(float(vals[-1]), e_scale) == 0.75
+    assert decode_phase(0.75, e_scale) == float(vals[-1])
 
 
 # The map is scale-free; couplings stay where the Frobenius norm that the
@@ -191,26 +205,23 @@ _COUPLINGS = st.one_of(st.just(0.0), st.floats(1e-3, 4.0), st.floats(-4.0, -1e-3
 @given(n=st.integers(2, 6), j=_COUPLINGS, h=_COUPLINGS)
 def test_energy_phase_map_inverts_and_survives_estimation(n, j, h):
     assume(j != 0.0 or h != 0.0)
-    vals, _ = spectrum(TfimSpec(n, j, h))
-    encoded = [encode_phase(float(energy), vals) for energy in vals]
+    vals, e_scale = spectrum(TfimSpec(n, j, h))
+    phis = [encode_phase(float(energy), e_scale) for energy in vals]
     m = 8
-    cell = 4.0 * encoded[0].e_scale * 2.0**-m  # one phase cell, in energy
-    probs = phase_distributions(np.array([e.phi for e in encoded]), m, m)
-    for energy, enc, row in zip(vals, encoded, probs):
-        assert decode_phase(enc) == pytest.approx(float(energy), abs=1e-12)
-        modal = replace(enc, phi=int(np.argmax(row)) / 2**m)
-        assert abs(decode_phase(modal) - energy) <= cell
+    cell = 4.0 * e_scale * 2.0**-m  # one phase cell, in energy
+    probs = phase_distributions(np.array(phis), m, m)
+    for energy, phi, row in zip(vals, phis, probs):
+        assert decode_phase(phi, e_scale) == pytest.approx(float(energy), abs=1e-12)
+        modal = int(np.argmax(row)) / 2**m
+        assert abs(decode_phase(modal, e_scale) - energy) <= cell
 
 
 def test_encode_phase_errors():
-    vals = np.array([-2.0, -1.0, 1.0, 2.0])
-    with pytest.raises(ValueError):
-        encode_phase(3.0, vals)
-    with pytest.raises(ValueError):
-        encode_phase(0.0, np.array([]))
-    with pytest.raises(ValueError):
-        encode_phase(0.0, np.zeros(4))
-    assert decode_phase(EncodedPhase(0.75, 2.0)) == pytest.approx(2.0)
+    with pytest.raises(ValueError, match="outside"):
+        encode_phase(3.0, 2.0)
+    with pytest.raises(ValueError, match="identically zero"):
+        encode_phase(0.0, 0.0)
+    assert decode_phase(0.75, 2.0) == 2.0
 
 
 def test_experiment_ground_state_is_on_grid():
