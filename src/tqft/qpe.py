@@ -17,11 +17,15 @@ of the outcome y:
 One kernel, _fill, evaluates it at O(2^m) real multiplies per phase into
 phase-minor (2^m outcomes, phases) blocks of BLOCK_ENTRIES entries, so
 every stage is one contiguous loop over the phases; no factor couples two
-phases, so the layout changes no float. phase_distributions is the one
-path that transposes a block, into its (phases, 2^m) table. The scans
-over a sample hold no table and reduce over the outcome axis: max_tvd_scan
-builds the full-depth reference and its stage weights once per block for
-every depth to reuse (max_tvd is its one-depth case), and
+phases, so the layout changes no float. It fills each block in place, in
+one buffer that the caller may reuse for every block, and leaves outcome
+2^m - 1 - r in row r; each reader un-reverses that order. Its stage
+weights come from one einsum against a cached per-depth cos/sin operand.
+phase_distributions is the one path that transposes a block, into its
+(phases, 2^m) table. The scans over a sample hold no table and reduce
+over the outcome axis: max_tvd_scan builds the full-depth reference and
+its stage weights once per block for every depth to reuse (max_tvd is its
+one-depth case), in two buffers allocated once per call, and
 mean_success_probability reads only the <= 4 candidate outcomes of each
 phase's success window. The sample checks (register cap, 1-D, non-empty,
 finite) have one owner, _reduced_phases. The gate-by-gate statevector
@@ -31,6 +35,7 @@ kernel's test oracle, next to the closed-form full-depth kernel.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -52,14 +57,18 @@ MAX_SHOTS = 1_000_000
 
 # Table entries per block: 2 MiB of float64, the L2 of one core. Every
 # table path fills BLOCK_ENTRIES >> m phases at a time (at least one).
-# Medians of 7 interleaved runs on the default 4596-phase sample (2-vCPU
-# Xeon, Python 3.11, numpy 2.4), for max_tvd_scan(10, 1..10) / ten
-# max_tvd(10, d) calls / phase_distributions(., 12, 12):
-#   2^16: 0.21 / 0.61 / 0.32 s    2^17: 0.20 / 0.53 / 0.26 s
-#   2^18: 0.23 / 0.58 / 0.29 s    2^19: 0.25 / 0.57 / 0.34 s
-#   2^20: 0.26 / 0.65 / 0.48 s
+# Medians of 7 interleaved runs of the in-place kernel on the default
+# 4596-phase sample, range over two sweeps (2-vCPU Xeon, Python 3.11,
+# numpy 2.4), for max_tvd_scan(10, 1..10) / ten max_tvd(10, d) calls /
+# phase_distributions(., 12, 12):
+#   2^16: 0.20-0.22 / 0.43-0.48 / 0.22-0.26 s
+#   2^17: 0.17-0.19 / 0.35-0.38 / 0.18-0.21 s
+#   2^18: 0.19-0.20 / 0.34-0.38 / 0.17-0.23 s
+#   2^19: 0.20-0.22 / 0.38-0.42 / 0.19 s
+#   2^20: 0.21-0.24 / 0.45-0.49 / 0.18-0.20 s
 # 2^17 and 2^18 differ by less than the spread between sweeps (2^18 ran the
-# ten max_tvd calls faster in four of five); a larger block raises peak RSS.
+# ten max_tvd calls, the perfbench scan, fastest in both); a larger block
+# raises peak RSS.
 BLOCK_ENTRIES = 1 << 18
 
 # Probability that phase estimation lands within one grid cell of the true
@@ -116,18 +125,19 @@ def _checked(probs: np.ndarray, m: int, d: int) -> PhaseDistribution:
 def phase_distributions(phis: np.ndarray, m: int, d: int) -> np.ndarray:
     """Outcome probabilities for many eigenphases at once; rows sum to 1.
 
-    Fills one (2^m, phases) block of BLOCK_ENTRIES entries at a time, so
-    no stage temporary outgrows one block, and transposes it into the
-    output 512 outcomes at a time (at m = 12 on a 2-vCPU Xeon, 10-17 %
-    faster than one strided copy). An empty, non-finite or non-1-D phase
+    Fills one (2^m, phases) block of BLOCK_ENTRIES entries at a time, into
+    one buffer reused for every block, and transposes its row-reversed view
+    into the output 512 outcomes at a time (at m = 12 on a 2-vCPU Xeon,
+    10-17 % faster than one strided copy). An empty, non-finite or non-1-D phase
     array is a bad argument (ValueError).
     """
     check_depth(m, d)
     phis = _reduced_phases(phis, m, DIST_MAX_QUBITS)
     out = np.empty((len(phis), 1 << m))
-    cols = max(1, BLOCK_ENTRIES >> m)
+    cols = min(len(phis), max(1, BLOCK_ENTRIES >> m))
+    buf = np.empty((1 << m, cols))
     for start in range(0, len(phis), cols):
-        block = _fill(phis[start:start + cols], m, d)
+        block = _fill(phis[start:start + cols], m, d, None, buf)[::-1]
         for y in range(0, 1 << m, 512):
             out[start:start + cols, y:y + 512] = block[y:y + 512].T
     return out
@@ -147,43 +157,68 @@ def _reduced_phases(phis, m: int, cap: int) -> np.ndarray:
     return phis % 1.0
 
 
-def _fill(batch: np.ndarray, m: int, d: int, weights=None) -> np.ndarray:
-    """The depth-d (2^m outcomes, phases) table of `batch` (phases in [0, 1)).
+def _fill(batch: np.ndarray, m: int, d: int, weights=None, out=None) -> np.ndarray:
+    """The depth-d table of `batch` (phases in [0, 1)): 2^m rows, one column
+    per phase, outcome 2^m - 1 - r in row r.
 
     Phase-minor, so every stage operation is one contiguous loop over the
-    phases, however small m is. Built bit by bit from the least
-    significant outcome bit up: stage j
-    multiplies the table over y_(j+1)..y_(m-1) by the cos^2 factor of
-    qubit j, which depends on the top k = min(d, m-j) bits of
-    y_j..y_(m-1). The y_j = 1 half is the sin^2 of the same angle, so it is
-    the table minus the y_j = 0 half; w <= 1 makes that difference >= 0.
-    Given all depth-m `weights`, depth k takes every 2^(m-j-k)-th row of stage j's.
+    phases, however small m is. Filled in place into the contiguous prefix
+    of `out`, a float64 buffer of at least 2^m * len(batch) entries that the
+    caller owns and may reuse for every block (a fresh one when None); the
+    table returned is a view of it. Built bit by bit from the least
+    significant outcome bit up: stage j multiplies the rows so far (bits
+    y_(j+1)..y_(m-1)) by the cos^2 factor of qubit j, which depends on the
+    top k = min(d, m-j) bits of y_j..y_(m-1), into the next rows, and
+    subtracts that product in place, leaving the sin^2 half (w <= 1 makes
+    it >= 0). The y_j = 1 half thus comes first, which complements the row
+    order. The callers un-reverse it: phase_distributions and the sampled
+    success path read a [::-1] view, exact success reads row 2^m - 1 - y,
+    and the TVD halving tree adds the same pairs in either order. Given all
+    depth-m `weights`, depth k takes every 2^(m-j-k)-th row of stage j's.
     """
-    cols = len(batch)
-    table = np.ones((1, cols))
+    cols, size = len(batch), (1 << m) * len(batch)
+    buf = np.empty(size) if out is None else out.reshape(-1)[:size]
+    buf = buf.reshape(1 << m, cols)
+    buf[0] = 1.0
     for j in range(m - 1, -1, -1):
         k = min(d, m - j)
         half = 1 << (k - 1)
         low = 1 << (m - j - k)  # suffix bits below the k the factor reads
-        new = np.empty((2, half, low, cols))
-        table = table.reshape(half, low, cols)
+        rows = half * low  # the table so far, over y_(j+1)..y_(m-1)
+        table = buf[:rows].reshape(half, low, cols)
+        upper = buf[rows:2 * rows].reshape(half, low, cols)
         w = _stage_weights(batch, j, k) if weights is None else weights[j][::low]
-        np.multiply(table, w[:, None], out=new[0])
-        np.subtract(table, new[0], out=new[1])
-        table = new
-    return table.reshape(1 << m, cols)
+        np.multiply(table, w[::-1, None], out=upper)
+        np.subtract(table, upper, out=table)
+    return buf
+
+
+@functools.cache
+def _row_trig(k: int) -> np.ndarray:
+    """The (2^(k-1), 2) operand (cos b, sin b), b = pi * c for the rows c of
+    _stage_weights. Built once per k and read-only; all k <= DIST_MAX_QUBITS
+    together hold 2^DIST_MAX_QUBITS rows, 16 MiB."""
+    b = np.pi * np.arange(1 << (k - 1)) / (1 << k)
+    rows = np.stack([np.cos(b), np.sin(b)], axis=1)
+    rows.setflags(write=False)
+    return rows
 
 
 def _stage_weights(phis: np.ndarray, j: int, k: int) -> np.ndarray:
     """cos^2(pi * (frac(2^j phi) - c)), row c = 0, 1/2^k, ..., 1/2 - 1/2^k, column phi.
 
     Expanded as (cos a cos b + sin a sin b)^2, which cannot round below 0
-    as 0.5 + 0.5 cos(2(a - b)) can; the clip removes rounding above 1.
+    as 0.5 + 0.5 cos(2(a - b)) can; the clip removes rounding above 1. The
+    sum is one einsum of the cached (cos b, sin b) rows with a (2, phases)
+    (cos a, sin a) operand, which rounds as fl(fl(cos b cos a) + fl(sin b
+    sin a)) at every batch width. A BLAS product (@) does not: with numpy
+    2.4's OpenBLAS it differs in the last bit at almost every width and k.
     """
     a = np.pi * ((phis * 2.0**j) % 1.0)
-    b = np.pi * np.arange(1 << (k - 1)) / (1 << k)
-    weights = np.multiply.outer(np.cos(b), np.cos(a))
-    weights += np.multiply.outer(np.sin(b), np.sin(a))
+    trig = np.empty((2, len(phis)))
+    np.cos(a, out=trig[0])
+    np.sin(a, out=trig[1])
+    weights = np.einsum("ck,kp->cp", _row_trig(k), trig)
     np.square(weights, out=weights)
     return np.minimum(weights, 1.0, out=weights)
 
@@ -271,18 +306,18 @@ def max_tvd_scan(m: int, depths, phases: np.ndarray) -> list[tuple[float, float]
     phis = _reduced_phases(raw, m, SCAN_MAX_QUBITS)
     truncated = [(i, d) for i, d in enumerate(depths) if d != m]  # d = m has TVD 0
     tv = np.zeros((len(depths), len(phis)))
-    cols = max(1, BLOCK_ENTRIES >> m)
+    cols = min(len(phis), max(1, BLOCK_ENTRIES >> m))
+    ref_buf, diff_buf = np.empty((2, 1 << m, cols))  # reused by every block and depth
     for start in range(0, len(phis) if truncated else 0, cols):
         batch = phis[start:start + cols]
         weights = [_stage_weights(batch, j, m - j) for j in range(m)]
-        ref = _fill(batch, m, m, weights)
+        ref = _fill(batch, m, m, weights, ref_buf)
         for i, d in truncated:
-            diff = _fill(batch, m, d, weights)
+            diff = _fill(batch, m, d, weights, diff_buf)
             np.abs(np.subtract(ref, diff, out=diff), out=diff)
             for b in range(m - 1, -1, -1):  # halving tree: rows r and r + 2^b
                 diff[:1 << b] += diff[1 << b:2 << b]
             tv[i, start:start + cols] = 0.5 * diff[0]
-            del diff  # free this depth's table before the next one is filled
     best = tv.argmax(axis=1)
     return [(float(tv[i, b]), float(raw[b])) for i, b in enumerate(best)]
 
@@ -324,12 +359,12 @@ def mean_success_probability(phis: np.ndarray, m: int, d: int, shots: int | None
         inside = circular_distance_array(batch, candidates / n_out) <= 2.0**-m
         table = _fill(batch, m, d)
         if shots is None:
-            probs = np.take_along_axis(table, candidates, axis=0)
+            probs = np.take_along_axis(table, n_out - 1 - candidates, axis=0)
             sums.append(np.where(inside, probs, 0.0).sum(axis=0))
             continue
         # Row i is phase i's distribution; -1 marks a candidate outside its window.
         windows = np.where(inside, candidates, -1).T
-        for row, window in zip(np.ascontiguousarray(table.T), windows):
+        for row, window in zip(np.ascontiguousarray(table[::-1].T), windows):
             drawn = sample_outcomes(_checked(row, m, d), shots, rng)
             hits += int(np.count_nonzero(drawn[:, None] == window))
     if shots is None:

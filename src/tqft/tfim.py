@@ -45,6 +45,11 @@ GRID_TOL = 1e-12  # circular distance below which a phase counts as on-grid
 # (Python 3.11, numpy 2.4); the level count doubles per site.
 MAX_SITES = 16
 
+# Largest n * (|J| + |h|). It bounds E_scale, so the Jacobi block (entries
+# 2|J| and 2|h|, doubled once by the symmetrisation), E_scale and the
+# 4 * E_scale of the phase map all stay finite.
+MAX_ENERGY = 2.0**1000
+
 
 @dataclass(frozen=True)
 class TfimSpec:
@@ -62,6 +67,11 @@ class TfimSpec:
             raise ValueError(f"the chain is capped at {MAX_SITES} sites ({1 << MAX_SITES} "
                              f"levels), which fits a 1 s budget for a spectrum or a "
                              f"trial (tfim --n 16 --m 12: about 0.1 s), got {self.n}")
+        # Python floats, so a sum past the float limit is inf, without a warning.
+        energy = self.n * (abs(float(self.j)) + abs(float(self.h)))
+        if not energy <= MAX_ENERGY:
+            raise ValueError(f"n*(|J|+|h|) is capped at 2^1000 so that the energy scale "
+                             f"stays finite, got {energy} (n={self.n}, J={self.j}, h={self.h})")
 
     @property
     def dim(self) -> int:

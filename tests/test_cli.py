@@ -4,6 +4,7 @@ import io
 import json
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -198,6 +199,23 @@ def test_empty_or_nonfinite_sweep_is_a_usage_error(argv, tmp_path, capsys):
     out = tmp_path / "artifact.csv"
     assert main(argv + ["--out", str(out)]) == 1
     assert json.loads(capsys.readouterr().err.splitlines()[0])["error"] == "UsageError"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["tfim", "--n", "4", "--J", "1e307", "--h", "1e307", "--spectrum", "2"],
+    ["tfim", "--n", "4", "--J", "1e307", "--h", "1e307", "--m", "6", "--state", "3"],
+    ["tfim", "--n", "4", "--J", "1e308", "--h", "1"],
+    ["tfim", "--n", "4", "--J", "5e307", "--h=-5e307"],
+], ids=" ".join)
+def test_couplings_past_the_energy_cap_are_refused_without_a_warning(argv, tmp_path, capsys):
+    out = tmp_path / "artifact.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv + ["--out", str(out)]) == 1
+    error = json.loads(capsys.readouterr().err.splitlines()[0])
+    assert error["error"] == "UsageError"
+    assert error["message"].startswith("n*(|J|+|h|) is capped at 2^1000"), error
     assert not out.exists()
 
 

@@ -201,7 +201,52 @@ def test_shared_full_depth_weights_give_the_same_floats():
             own = qpe._fill(phis, m, d)
             shared = qpe._fill(phis, m, d, weights)
             assert np.array_equal(own, shared), (m, d)
-            assert np.array_equal(own.T, phase_distributions(phis, m, d)), (m, d)
+            assert np.array_equal(own[::-1].T, phase_distributions(phis, m, d)), (m, d)
+
+
+# Every (k, width) with at most 2^20 weights: the table paths never build a
+# stage wider than BLOCK_ENTRIES / 2 (at m > 18, one column of 2^19 rows).
+@pytest.mark.parametrize("cols", [1, 2, 3, 7, 255, 4095])
+def test_stage_weights_round_as_the_two_product_formula(cols):
+    """The einsum weights equal min((cos b (x) cos a + sin b (x) sin a)^2, 1)
+    bit for bit; an einsum that fused the multiply-add would fail here."""
+    pool = np.concatenate([EDGE_PHASES, grid_phases(1 << 12)[::97], random_phases(4095, 8)])
+    for k in range(1, 13):
+        if cols << (k - 1) > 1 << 20:
+            continue
+        b = np.pi * np.arange(1 << (k - 1)) / (1 << k)
+        for start in range(0, 16 if cols < 8 else 1):
+            phis = pool[start:start + cols]
+            for j in sorted({0, 12 - k}):
+                a = np.pi * ((phis * 2.0**j) % 1.0)
+                expected = np.multiply.outer(np.cos(b), np.cos(a))
+                expected += np.multiply.outer(np.sin(b), np.sin(a))
+                expected = np.minimum(np.square(expected), 1.0)
+                assert np.array_equal(qpe._stage_weights(phis, j, k), expected), (k, j, start)
+
+
+def test_fill_into_a_reused_poisoned_buffer_equals_a_fresh_one():
+    phis = np.concatenate([random_phases(13, 4), EDGE_PHASES])  # 19 phases
+    narrow = phis[:7]  # a last block narrower than the buffer
+    for m in range(1, 11):
+        buf = np.empty((1 << m, len(phis)))
+        weights = [qpe._stage_weights(phis, j, m - j) for j in range(m)]
+        for d in range(1, m + 1):
+            for batch, shared in ((phis, None), (phis, weights), (narrow, None)):
+                buf.fill(math.nan)
+                table = qpe._fill(batch, m, d, shared, buf)
+                assert np.shares_memory(table, buf), (m, d)
+                assert np.array_equal(table, qpe._fill(batch, m, d)), (m, d, len(batch))
+
+
+def test_fill_row_r_holds_outcome_complement():
+    phis = np.concatenate([random_phases(9, 6), EDGE_PHASES, [-0.3, 2.625]])
+    for m in (1, 2, 5, 9):
+        for d in sorted({1, m // 2 or 1, m}):
+            table = qpe._fill(phis % 1.0, m, d)
+            probs = phase_distributions(phis, m, d)
+            for r in range(1 << m):
+                assert np.array_equal(table[r], probs[:, (1 << m) - 1 - r]), (m, d, r)
 
 
 def test_tvd_scan_matches_statevector_every_depth():

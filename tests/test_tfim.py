@@ -1,6 +1,7 @@
 import math
 import re
 import tracemalloc
+import warnings
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -10,6 +11,7 @@ from tqft.calibration import error_budget
 from tqft.numerics import circular_distance, jacobi_eigh
 from tqft.qpe import phase_distributions
 from tqft.tfim import (
+    MAX_ENERGY,
     TfimSpec,
     _mode_energies,
     build_hamiltonian,
@@ -43,6 +45,26 @@ def test_spec_validation():
             TfimSpec(n)
     assert type(TfimSpec(np.int64(4)).n) is int and TfimSpec(np.int64(4)) == spec
     assert TfimSpec(np.int32(3)).dim == 8
+
+
+def test_couplings_are_capped_where_the_energy_scale_stays_finite():
+    """At n*(|J|+|h|) = 2^1000 every level, 4*E_scale and a top-state trial
+    are finite without a warning; one ulp above, the spec is refused."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n in (2, 4, 16):
+            for j, h in ((MAX_ENERGY / n, 0.0), (MAX_ENERGY / (2 * n), -MAX_ENERGY / (2 * n))):
+                spec = TfimSpec(n, j, h)
+                levels, e_scale = spectrum(spec)
+                assert np.isfinite(levels).all() and math.isfinite(4.0 * e_scale), (n, j, h)
+                top = qpe_energy_experiment(spec, 6, eigenstate_index=spec.dim - 1)
+                assert math.isfinite(top.energy_rmse) and math.isfinite(top.estimated_energy)
+            over = math.nextafter(MAX_ENERGY / n, math.inf)
+            with pytest.raises(ValueError, match=r"n\*\(\|J\|\+\|h\|\) is capped at 2\^1000"):
+                TfimSpec(n, 0.0, over)
+        for j, h in ((1e308, 1e308), (-1.7976931348623157e308, 0.0)):
+            with pytest.raises(ValueError, match=r"capped at 2\^1000"):
+                TfimSpec(2, j, h)
 
 
 def test_hamiltonian_two_site_matrix():
