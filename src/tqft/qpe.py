@@ -214,7 +214,9 @@ def _stage_weights(phis: np.ndarray, j: int, k: int) -> np.ndarray:
     sin a)) at every batch width. A BLAS product (@) does not: with numpy
     2.4's OpenBLAS it differs in the last bit at almost every width and k.
     """
-    a = np.pi * ((phis * 2.0**j) % 1.0)
+    a = phis * 2.0**j
+    a -= np.floor(a)  # frac(a), exact for a >= 0, at a tenth of the cost of % 1.0
+    a *= np.pi
     trig = np.empty((2, len(phis)))
     np.cos(a, out=trig[0])
     np.sin(a, out=trig[1])
@@ -340,8 +342,9 @@ def mean_success_probability(phis: np.ndarray, m: int, d: int, shots: int | None
     each row is contiguous, and reports the success fraction over all
     draws, which fluctuates binomially around the exact value. A sampled
     row that fails the PhaseDistribution check is raised as
-    ArithmeticError. The sample is scored one block at a time, so no
-    (phases, 2^m) table of the whole sample is held.
+    ArithmeticError. The sample is scored one block at a time, in one
+    buffer reused for every block, so no (phases, 2^m) table of the whole
+    sample is held.
     """
     if shots is not None and rng is None:
         raise ValueError(f"sampled mode (shots={shots}) needs a generator rng, got None")
@@ -349,15 +352,16 @@ def mean_success_probability(phis: np.ndarray, m: int, d: int, shots: int | None
         shots = check_int("shot count", shots, 1, MAX_SHOTS)
     m, d = check_depth(m, d)
     phis = _reduced_phases(phis, m, SCAN_MAX_QUBITS)  # checks the whole sample first
-    n_out, cols = 1 << m, max(1, BLOCK_ENTRIES >> m)
+    n_out, cols = 1 << m, min(len(phis), max(1, BLOCK_ENTRIES >> m))
     offsets = np.arange(-1, min(4, n_out) - 1)[:, None]  # 2 at m = 1: no outcome twice
+    buf = np.empty((n_out, cols))  # reused by every block
     sums, hits = [], 0
     for start in range(0, len(phis), cols):
         batch = phis[start:start + cols]
         cells = np.floor(batch * n_out).astype(np.int64)
         candidates = np.sort((cells + offsets) % n_out, axis=0)
         inside = circular_distance_array(batch, candidates / n_out) <= 2.0**-m
-        table = _fill(batch, m, d)
+        table = _fill(batch, m, d, None, buf)
         if shots is None:
             probs = np.take_along_axis(table, n_out - 1 - candidates, axis=0)
             sums.append(np.where(inside, probs, 0.0).sum(axis=0))

@@ -316,6 +316,20 @@ def test_corrupted_distribution_is_a_numerical_failure(tmp_path, monkeypatch, ca
     assert not out.exists()
 
 
+def test_mode_solver_failure_is_a_numerical_failure(tmp_path, monkeypatch, capsys):
+    """LinAlgError is a ValueError, so unconverted it would exit 1 as a usage error."""
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+    monkeypatch.setattr(np.linalg, "svd", fail)
+    out = tmp_path / "spectrum.csv"
+    assert main(["tfim", "--n", "4", "--out", str(out)]) == 2
+    payload = json.loads(capsys.readouterr().err.splitlines()[0])
+    assert payload["error"] == "ArithmeticError"
+    assert payload["message"] == ("mode energies of TfimSpec(n=4, j=1.0, h=0.5): "
+                                  "SVD did not converge")
+    assert not out.exists()
+
+
 _SIZES = st.integers(-2, 14)
 _DEPTHS = st.one_of(st.just("all"),
                     st.lists(st.integers(-1, 14), min_size=1, max_size=3).map(

@@ -113,7 +113,7 @@ def test_empty_phase_sample_is_a_bad_argument():
 def test_sampled_row_failing_its_check_is_a_numerical_failure(monkeypatch):
     exact = qpe._fill
     monkeypatch.setattr(qpe, "_fill",
-                        lambda phis, m, d: np.full_like(exact(phis, m, d), math.nan))
+                        lambda phis, m, d, *_: np.full_like(exact(phis, m, d), math.nan))
     with pytest.raises(ArithmeticError):
         mean_success_probability([0.3], 4, 4, 10, SplitMix64(1))
 
@@ -223,6 +223,21 @@ def test_stage_weights_round_as_the_two_product_formula(cols):
                 expected += np.multiply.outer(np.sin(b), np.sin(a))
                 expected = np.minimum(np.square(expected), 1.0)
                 assert np.array_equal(qpe._stage_weights(phis, j, k), expected), (k, j, start)
+
+
+def test_stage_fraction_by_floor_is_bitwise_the_remainder():
+    """x - floor(x) is exact for x = 2^j phi >= 0 (Sterbenz), so the stage
+    weights equal those built from (2^j phi) % 1.0 bit for bit, for every
+    j a register at the m = 20 cap reads."""
+    grid = grid_phases(1 << 12)
+    phis = np.concatenate([EDGE_PHASES, [2.0**-1074, 2.0**-1022, 0.75 + 2.0**-53], grid,
+                           np.nextafter(grid[1:], 0.0), random_phases(4096, 17)])
+    for j in range(DIST_MAX_QUBITS):
+        x = phis * 2.0**j
+        assert np.array_equal((x - np.floor(x)).view(np.uint64), (x % 1.0).view(np.uint64)), j
+        a = np.pi * (x % 1.0)
+        expected = np.square(np.cos(a))[None, :]
+        assert np.array_equal(qpe._stage_weights(phis, j, 1), np.minimum(expected, 1.0)), j
 
 
 def test_fill_into_a_reused_poisoned_buffer_equals_a_fresh_one():

@@ -335,6 +335,34 @@ def test_experiment_accepts_numpy_integers():
     assert result == qpe_energy_experiment(TfimSpec(4), m=8, d=5, eigenstate_index=3)
 
 
+# (J, h): the ordered phase down to h/J = 1e-8, where the edge mode is
+# about (h/J)^n, the critical point, the disordered phase, each coupling
+# alone, and couplings whose squares underflow or overflow a double.
+MODE_COUPLINGS = [(1.0, 1e-8), (1.0, 1e-4), (1.0, 0.01), (1.0, 0.1), (1.0, 0.5), (1.0, 1.0),
+                  (1.0, 2.0), (0.0, 1.0), (1.0, 0.0), (1e-200, 0.5e-200), (1e150, 0.5e150)]
+
+
+@pytest.mark.parametrize("j,h", MODE_COUPLINGS)
+@pytest.mark.parametrize("n", [2, 4, 8, 12, 16])
+def test_mode_energies_to_full_relative_accuracy(n, j, h):
+    """Every eps_k within 8 ulp of itself, against 300-digit singular values;
+    a zero mode must come out exactly zero."""
+    mpmath = pytest.importorskip("mpmath")
+    a = 2.0 * h * np.eye(n) - 2.0 * j * np.eye(n, k=1)
+    with mpmath.workdps(300):
+        exact = sorted(mpmath.svd_r(mpmath.matrix(a.tolist()), compute_uv=False))
+        reference = np.array([float(e) for e in exact])
+    modes = _mode_energies(TfimSpec(n, j, h))
+    assert np.all(np.abs(modes - reference) <= 8.0 * np.spacing(reference)), (modes, reference)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(n=st.integers(2, 16), j=_FINITE_COUPLING, h=_FINITE_COUPLING)
+def test_mode_energies_are_ascending_and_non_negative(n, j, h):
+    modes = _mode_energies(TfimSpec(n, j, h))
+    assert modes.shape == (n,) and modes[0] >= 0.0 and np.all(np.diff(modes) >= 0.0)
+
+
 def test_tiny_coupling_spectrum_is_warning_free():
     # tau * tau overflows at J = 4e-267; the rotation then takes its t = 0 limit.
     spec = TfimSpec(6, 4e-267, 1.0)
