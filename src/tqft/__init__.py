@@ -28,13 +28,11 @@ from .circuits import (
     bit_reversal_permutation,
     full_qft_matrix,
     gate_count,
-    parse_plan,
     plan_truncated_qft,
     plan_unitary,
     serialize_plan,
 )
 from .numerics import (
-    ConvergenceError,
     SplitMix64,
     SymmetricMatrix,
     circular_distance,
@@ -67,7 +65,6 @@ from .tfim import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConvergenceError",
     "SplitMix64",
     "SymmetricMatrix",
     "circular_distance",
@@ -78,7 +75,6 @@ __all__ = [
     "bit_reversal_permutation",
     "full_qft_matrix",
     "gate_count",
-    "parse_plan",
     "plan_truncated_qft",
     "plan_unitary",
     "serialize_plan",

@@ -104,10 +104,6 @@ class ErrorBudget:
     noise_constant: float
     rmse: float
 
-    def __post_init__(self):
-        if min(self.precision_term, self.truncation_term, self.noise_term) < 0.0:
-            raise ValueError("error-budget terms must be nonnegative")
-
 
 def error_budget(m: int, d: int | None, eps_2q: float,
                  c: float = DEFAULT_NOISE_CONSTANT) -> ErrorBudget:

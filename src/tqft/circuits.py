@@ -206,30 +206,3 @@ def serialize_plan(plan: CircuitPlan) -> str:
             lines.append("BITREV")
     return "\n".join(lines) + "\n"
 
-
-def parse_plan(text: str) -> CircuitPlan:
-    """Parse the serialize_plan format.
-
-    The body must be exactly the gate list of the plan its header names;
-    otherwise the error names the first differing line. Blank lines and
-    runs of whitespace are ignored.
-    """
-    numbered = [(no, " ".join(ln.split())) for no, ln in enumerate(text.splitlines(), 1)
-                if ln.strip()]
-    if not numbered:
-        raise ValueError("empty plan text")
-    header = numbered[0][1]
-    try:
-        fields = dict(part.split("=", 1) for part in header.split())
-        m, d = int(fields["m"]), int(fields["d"])
-    except (ValueError, KeyError) as exc:
-        raise ValueError(f"malformed plan header {header!r}") from exc
-    plan = plan_truncated_qft(m, d)
-    # An empty string marks the end on both sides: no normalized line is empty.
-    expected = serialize_plan(plan).splitlines()[1:] + [""]
-    found = numbered[1:] + [(numbered[-1][0] + 1, "")]
-    for want, (no, got) in zip(expected, found):
-        if got != want:
-            raise ValueError(f"plan line {no} does not match m={m} d={d}: expected "
-                             f"{want or 'end of plan'!r}, found {got or 'end of text'!r}")
-    return plan

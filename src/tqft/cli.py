@@ -45,7 +45,7 @@ from .calibration import (DEFAULT_NOISE_CONSTANT, DEFAULT_PLATFORMS, cliff_depth
                           crossover_error_rate, error_budget, load_platforms,
                           platform_report, tvd_bound)
 from .circuits import check_int, gate_count, plan_truncated_qft, serialize_plan
-from .numerics import ConvergenceError, SplitMix64
+from .numerics import SplitMix64
 from .qpe import default_phase_sample, max_tvd_scan, mean_success_probability
 # Unused here; perfbench/tracing.py patches these names in this module.
 from .numerics import circular_distance_array
@@ -547,7 +547,7 @@ def run(argv: list[str] | None = None) -> int:
         # surfaces as an ArithmeticError instead.
         print(json.dumps({"error": "UsageError", "message": str(exc)}), file=sys.stderr)
         return EXIT_USAGE
-    except (ConvergenceError, ArithmeticError, OSError) as exc:
+    except (ArithmeticError, OSError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
         return EXIT_NUMERICAL

@@ -22,10 +22,6 @@ import numpy as np
 from .circuits import check_int
 
 
-class ConvergenceError(RuntimeError):
-    """Eigensolver failed to converge within its sweep budget."""
-
-
 @dataclass(frozen=True)
 class SymmetricMatrix:
     """Dense real symmetric matrix; construction enforces exact symmetry."""
@@ -113,9 +109,11 @@ def jacobi_eigh(matrix: SymmetricMatrix) -> tuple[np.ndarray, np.ndarray]:
     with eigenvectors[:, i] belonging to eigenvalues[i]. Rotations below a
     per-sweep threshold are skipped; convergence is declared when the
     off-diagonal Frobenius norm falls below 1e-13 times the matrix norm.
+    No command calls it; tests use it as a dense reference.
 
-    Raises ConvergenceError if JACOBI_MAX_SWEEPS sweeps end first -- a
-    partial decomposition is never returned.
+    Raises ArithmeticError, the package's numerical-failure type, if
+    JACOBI_MAX_SWEEPS sweeps end first -- a partial decomposition is never
+    returned.
     """
     n = matrix.dim
     if n > 1024:
@@ -144,7 +142,7 @@ def jacobi_eigh(matrix: SymmetricMatrix) -> tuple[np.ndarray, np.ndarray]:
                     continue
                 _rotate(a, v, p, q)
     else:
-        raise ConvergenceError(
+        raise ArithmeticError(
             f"Jacobi eigensolver did not converge in {JACOBI_MAX_SWEEPS} sweeps "
             f"(dim={n}, off-norm={_off_norm(a):.3e}, tol={tol:.3e})"
         )

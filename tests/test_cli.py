@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from tqft import cli, qpe
 from tqft.calibration import cliff_depth, crossover_error_rate, error_budget
-from tqft.circuits import gate_count, parse_plan, plan_truncated_qft
+from tqft.circuits import gate_count, plan_truncated_qft, serialize_plan
 from tqft.cli import (
     MAX_DRAWS,
     MAX_ROWS,
@@ -437,7 +437,7 @@ def test_tfim_experiment_row(tmp_path):
 def test_plan_artifact_roundtrip(tmp_path):
     out = tmp_path / "plan.txt"
     assert main(["plan", "--m", "6", "--d", "4", "--out", str(out)]) == 0
-    assert parse_plan(out.read_text()) == plan_truncated_qft(6, 4)
+    assert out.read_text() == serialize_plan(plan_truncated_qft(6, 4))
 
 
 def test_rmse_rows_match_model(tmp_path):
