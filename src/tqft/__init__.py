@@ -25,7 +25,6 @@ from .calibration import (
 from .circuits import (
     CircuitPlan,
     GateOp,
-    bit_reversal_permutation,
     full_qft_matrix,
     gate_count,
     plan_truncated_qft,
@@ -34,7 +33,6 @@ from .circuits import (
 )
 from .numerics import (
     SplitMix64,
-    SymmetricMatrix,
     circular_distance,
     circular_distance_array,
     jacobi_eigh,
@@ -66,13 +64,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "SplitMix64",
-    "SymmetricMatrix",
     "circular_distance",
     "circular_distance_array",
     "jacobi_eigh",
     "CircuitPlan",
     "GateOp",
-    "bit_reversal_permutation",
     "full_qft_matrix",
     "gate_count",
     "plan_truncated_qft",

@@ -17,9 +17,9 @@ retained controlled-phase count without building a plan. check_int is the
 one integer check for every size, depth, count and index in the package;
 check_depth applies it to the pair (m, d) for every layer.
 
-Statevector application defines what a plan does. Outcome distributions
-are computed in tqft.qpe from a product formula instead, and tests check
-that formula against apply_plan_to_array and the dense unitaries here.
+Statevector application defines what a plan does. tqft.qpe computes
+outcome distributions from a product formula instead, and tests check it
+against apply_plan_to_array and the dense unitaries here.
 """
 
 from __future__ import annotations
@@ -116,61 +116,37 @@ def check_depth(m: int, d: int) -> tuple[int, int]:
 APPLY_MAX_QUBITS = 24  # 2^24 complex amplitudes = 256 MiB; the desk-scale ceiling
 
 
-def bit_reversal_permutation(m: int) -> np.ndarray:
-    """Index permutation rev with rev[y] = y read back in reversed bit order."""
-    idx = np.arange(1 << m)
-    rev = np.zeros_like(idx)
-    for b in range(m):
-        rev |= ((idx >> b) & 1) << (m - 1 - b)
-    return rev
-
-
 def apply_plan_to_array(amps: np.ndarray, plan: CircuitPlan, inverse: bool = False) -> None:
     """In-place plan application on an array whose last axis is the state axis.
 
     Leading axes are batch dimensions, so a (batch, 2^m) array runs every
-    state through the same plan in one pass. The inverse direction runs the
-    gates in reverse order with conjugated phase angles; Hadamard and the
-    bit-reversal permutation are their own inverses. Each state keeps its
-    norm to machine precision.
+    state through the same plan in one pass. The state axis is viewed, never
+    copied, as m length-2 axes, qubit j on the j-th: H mixes the two halves
+    of its qubit's axis, CP scales the block where both its qubits read 1,
+    and BITREV reverses the order of the m axes. The inverse direction runs
+    the gates in reverse order with conjugated phase angles (H and BITREV
+    are their own inverses). Each state keeps its norm to machine precision.
     """
     m = plan.m
     if m > APPLY_MAX_QUBITS:
         raise ValueError(f"statevector application is limited to m <= {APPLY_MAX_QUBITS}")
     if amps.shape[-1] != 1 << m:
         raise ValueError(f"last axis must have length {1 << m}, got {amps.shape[-1]}")
-    gates = reversed(plan.gates) if inverse else plan.gates
+    state = amps.reshape(amps.shape[:-1] + (2,) * m)  # qubit j on axis j - m
     sign = -1.0 if inverse else 1.0
-    for g in gates:
+    for g in reversed(plan.gates) if inverse else plan.gates:
+        # Indexing after an Ellipsis gives views, 0-d ones for a single m = 1 state.
         if g.kind == HADAMARD:
-            _apply_hadamard(amps, m, g.target)
+            pair = np.moveaxis(state, g.target - m, -1)
+            lo, hi = pair[..., 0], pair[..., 1]
+            pair[..., 0], pair[..., 1] = (lo + hi) * _INV_SQRT2, (lo - hi) * _INV_SQRT2
         elif g.kind == CONTROLLED_PHASE:
-            _apply_controlled_phase(amps, m, g.control, g.target, sign * g.angle)
+            angle = sign * g.angle
+            block = np.moveaxis(state, (g.control - m, g.target - m), (-2, -1))[..., 1, 1]
+            block *= complex(math.cos(angle), math.sin(angle))
         else:
-            amps[...] = amps[..., bit_reversal_permutation(m)]
-
-
-def _apply_hadamard(amps: np.ndarray, m: int, target: int) -> None:
-    b = m - 1 - target  # bit position from the least significant end
-    n = 1 << m
-    view = amps.reshape(amps.shape[:-1] + (n >> (b + 1), 2, 1 << b))
-    a0 = view[..., 0, :].copy()
-    a1 = view[..., 1, :]
-    view[..., 0, :] = (a0 + a1) * _INV_SQRT2
-    view[..., 1, :] = (a0 - a1) * _INV_SQRT2
-
-
-def _apply_controlled_phase(amps: np.ndarray, m: int, control: int, target: int,
-                            angle: float) -> None:
-    # Diagonal gate: multiply amplitudes with both qubit bits set. Exposing
-    # the two bits as length-2 axes makes that a strided sub-block multiply.
-    b_hi = m - 1 - min(control, target)
-    b_lo = m - 1 - max(control, target)
-    n = 1 << m
-    view = amps.reshape(
-        amps.shape[:-1] + (n >> (b_hi + 1), 2, (1 << b_hi) >> (b_lo + 1), 2, 1 << b_lo)
-    )
-    view[..., 1, :, 1, :] *= complex(math.cos(angle), math.sin(angle))
+            qubits = range(-m, 0)
+            state[...] = np.moveaxis(state, qubits, qubits[::-1]).copy()
 
 
 def full_qft_matrix(m: int) -> np.ndarray:

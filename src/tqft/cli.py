@@ -128,6 +128,8 @@ def parse_float_list(text: str) -> list[float]:
             _check_rows(points, f"range {text!r}")
             if not np.isfinite([lo, hi]).all():
                 raise UsageError(f"float range {text!r} holds a non-finite value")
+            if points == 1 and lo != hi:
+                raise UsageError(f"one-point range {text!r} would drop its upper end")
             log = scale.startswith("log")
             if log and (lo <= 0 or hi <= 0):
                 raise UsageError(f"log range needs positive endpoints: {text!r}")
@@ -358,6 +360,9 @@ def cmd_tfim(args) -> int:
     """Ising-chain spectrum, or a phase-estimation accuracy trial on it."""
     spec = TfimSpec(args.n, args.j, args.h)
     if args.m is None:
+        for flag, value in (("--d", args.d), ("--shots", args.shots)):
+            if value is not None:
+                raise UsageError(f"{flag} applies to an estimation trial, which needs --m")
         count = check_int("--spectrum", spec.dim if args.spectrum is None else args.spectrum,
                           1, spec.dim)
         _check_rows(count, f"--n {spec.n} --spectrum {count}")
@@ -369,6 +374,8 @@ def cmd_tfim(args) -> int:
                          "energy": energy, "phi": encode_phase(energy, e_scale)})
         return _emit(args, rows)
 
+    if args.spectrum is not None:
+        raise UsageError("--spectrum applies to a spectrum listing, which takes no --m")
     result = qpe_energy_experiment(spec, args.m, args.d, eps_2q=args.eps, c=args.c,
                                    eigenstate_index=args.state, shots=args.shots,
                                    seed=args.seed)

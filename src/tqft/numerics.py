@@ -1,5 +1,5 @@
-"""Self-contained numerical kernels: a dense symmetric eigensolver, a
-deterministic counter-based PRNG, and circular phase distances.
+"""Self-contained numerical kernels: a dense symmetric eigensolver (a test
+reference), a deterministic counter-based PRNG, and circular phase distances.
 
 Conventions used throughout the package:
 
@@ -15,32 +15,10 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .circuits import check_int
-
-
-@dataclass(frozen=True)
-class SymmetricMatrix:
-    """Dense real symmetric matrix; construction enforces exact symmetry."""
-
-    entries: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        a = np.array(self.entries, dtype=np.float64)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"expected a square 2-D array, got shape {a.shape}")
-        # (a + a.T)/2 is bitwise symmetric: both (i,j) and (j,i) evaluate
-        # the same float expression.
-        a = (a + a.T) / 2.0
-        a.setflags(write=False)
-        object.__setattr__(self, "entries", a)
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
 
 
 # SplitMix64 constants (64-bit golden-ratio increment and finalizer).
@@ -62,14 +40,11 @@ class SplitMix64:
         self.seed = check_int("seed", seed, -math.inf) & _MASK
         self._counter = 0
 
-    def next_u64(self) -> int:
-        return int(self.next_u64_array(1)[0])
-
     def random(self) -> float:
         return float(self.random_array(1)[0])
 
     def next_u64_array(self, n: int) -> np.ndarray:
-        """The next n outputs; next_u64 and random draw batches of one."""
+        """The next n outputs; random draws a batch of one."""
         n = check_int("draw count n", n, 0)
         counters = np.arange(self._counter + 1, self._counter + n + 1, dtype=np.uint64)
         self._counter += n
@@ -102,8 +77,12 @@ def circular_distance_array(a, b) -> np.ndarray:
 JACOBI_MAX_SWEEPS = 50  # cyclic Jacobi converges quadratically, so this is a failure guard
 
 
-def jacobi_eigh(matrix: SymmetricMatrix) -> tuple[np.ndarray, np.ndarray]:
+def jacobi_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Full eigendecomposition of a real symmetric matrix by cyclic Jacobi.
+
+    The square array a is read as (a + a.T) / 2, bitwise symmetric since
+    (i, j) and (j, i) evaluate the same float expression; any other shape is
+    a ValueError.
 
     Returns (eigenvalues ascending, eigenvectors as orthonormal columns),
     with eigenvectors[:, i] belonging to eigenvalues[i]. Rotations below a
@@ -115,17 +94,21 @@ def jacobi_eigh(matrix: SymmetricMatrix) -> tuple[np.ndarray, np.ndarray]:
     JACOBI_MAX_SWEEPS sweeps end first -- a partial decomposition is never
     returned.
     """
-    n = matrix.dim
+    a = np.asarray(matrix, dtype=np.float64)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square 2-D array, got shape {a.shape}")
+    a = (a + a.T) / 2.0
+    n = a.shape[0]
     if n > 1024:
         raise ValueError(f"eigensolver is desk-scale only (dim <= 1024), got {n}")
     v = np.eye(n)
-    peak = float(np.abs(matrix.entries).max(initial=0.0))
+    peak = float(np.abs(a).max(initial=0.0))
     if peak == 0.0:
         return np.zeros(n), v
     # Rotations are ratios, so scaling by a power of two is exact; it keeps
     # the squares inside np.linalg.norm away from underflow and overflow.
     exponent = int(np.frexp(peak)[1])
-    a = np.ldexp(matrix.entries, -exponent)
+    a = np.ldexp(a, -exponent)
     tol = 1e-13 * float(np.linalg.norm(a))
 
     for sweep in range(JACOBI_MAX_SWEEPS):

@@ -28,9 +28,8 @@ its stage weights once per block for every depth to reuse (max_tvd is its
 one-depth case), in two buffers allocated once per call, and
 mean_success_probability reads only the <= 4 candidate outcomes of each
 phase's success window. The sample checks (register cap, 1-D, non-empty,
-finite) have one owner, _reduced_phases. The gate-by-gate statevector
-simulation of the plan (_statevector_distributions) is kept as the
-kernel's test oracle, next to the closed-form full-depth kernel.
+finite) have one owner, _reduced_phases. Tests check the kernel against
+the closed-form full-depth kernel and circuits.apply_plan_to_array.
 """
 
 from __future__ import annotations
@@ -41,8 +40,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuits import apply_plan_to_array, check_depth, check_int, plan_truncated_qft
+from .circuits import check_depth, check_int
 from .numerics import SplitMix64, circular_distance_array
+# Unused here; perfbench/tracing.py patches these names in this module.
+from .circuits import apply_plan_to_array, plan_truncated_qft
 
 DIST_MAX_QUBITS = 20  # distribution experiments stay desk-scale
 SCAN_MAX_QUBITS = 12  # scans over a phase sample (max_tvd_scan, mean success) get a tighter cap
@@ -223,25 +224,6 @@ def _stage_weights(phis: np.ndarray, j: int, k: int) -> np.ndarray:
     weights = np.einsum("ck,kp->cp", _row_trig(k), trig)
     np.square(weights, out=weights)
     return np.minimum(weights, 1.0, out=weights)
-
-
-def _statevector_distributions(phis: np.ndarray, m: int, d: int) -> np.ndarray:
-    """The same distributions by applying the adjoint plan gate by gate.
-
-    Test oracle for phase_distributions: builds the complex kickback batch
-    and runs every H, CP and BITREV of the plan over it.
-    """
-    plan = plan_truncated_qft(m, d)
-    phis = np.asarray(phis, dtype=np.float64) % 1.0
-    n = 1 << m
-    out = np.empty((len(phis), n))
-    chunk = max(1, (1 << 22) // n)
-    for start in range(0, len(phis), chunk):
-        amps = np.exp(2j * np.pi * np.outer(phis[start:start + chunk], np.arange(n)))
-        amps /= math.sqrt(n)
-        apply_plan_to_array(amps, plan, inverse=True)
-        np.square(np.abs(amps), out=out[start:start + chunk])
-    return out
 
 
 def closed_form_full_distribution(phi: float, m: int) -> PhaseDistribution:

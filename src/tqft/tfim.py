@@ -37,8 +37,7 @@ from .calibration import DEFAULT_NOISE_CONSTANT, ErrorBudget, error_budget
 from .circuits import check_depth, check_int
 # jacobi_eigh is not called here: it is the layer boundary that the
 # benchmark's tracer patches in this module (perfbench/tracing.py).
-from .numerics import (SplitMix64, SymmetricMatrix, circular_distance,
-                       circular_distance_array, jacobi_eigh)
+from .numerics import SplitMix64, circular_distance, circular_distance_array, jacobi_eigh
 from .qpe import phase_distribution, sample_outcomes
 
 GRID_TOL = 1e-12  # circular distance below which a phase counts as on-grid
@@ -81,7 +80,7 @@ class TfimSpec:
         return 1 << self.n
 
 
-def build_hamiltonian(spec: TfimSpec) -> SymmetricMatrix:
+def build_hamiltonian(spec: TfimSpec) -> np.ndarray:
     """Dense matrix of the chain Hamiltonian: the oracle for `spectrum`.
 
     ZZ terms are diagonal: each basis state contributes -J * z_i * z_{i+1}
@@ -99,7 +98,7 @@ def build_hamiltonian(spec: TfimSpec) -> SymmetricMatrix:
     for site in range(spec.n):
         flipped = states ^ (1 << site)
         entries[states, flipped] -= spec.h
-    return SymmetricMatrix(entries)
+    return entries
 
 
 def _mode_energies(spec: TfimSpec) -> np.ndarray:

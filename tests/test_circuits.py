@@ -11,7 +11,6 @@ from tqft.circuits import (
     HADAMARD,
     CircuitPlan,
     apply_plan_to_array,
-    bit_reversal_permutation,
     check_depth,
     full_qft_matrix,
     gate_count,
@@ -139,10 +138,14 @@ def test_sizes_and_depths_must_be_integers(name):
 
 
 def test_bit_reversal_permutation():
-    assert list(bit_reversal_permutation(3)) == [0, 4, 2, 6, 1, 5, 3, 7]
-    for m in (1, 2, 5, 8):
-        perm = bit_reversal_permutation(m)
-        assert np.array_equal(perm[perm], np.arange(1 << m))  # involution
+    """The depth-1 plan is H on every qubit, then BITREV: row y of its
+    unitary is row rev(y) of the Walsh-Hadamard matrix, rev(y) being y
+    with its m bits read backwards."""
+    for m in (1, 2, 3, 5, 8):
+        rev = [int(f"{y:0{m}b}"[::-1], 2) for y in range(1 << m)]
+        walsh = np.array([[(-1) ** bin(x & y).count("1") for x in range(1 << m)]
+                          for y in range(1 << m)]) / np.sqrt(1 << m)
+        assert np.allclose(plan_unitary(plan_truncated_qft(m, 1)), walsh[rev], atol=1e-14)
 
 
 def test_full_qft_matrix_small():
@@ -189,13 +192,14 @@ def test_apply_plan_uniform_from_zero():
 def test_apply_plan_forward_inverse_identity():
     rng = SplitMix64(314)
     for _ in range(1000):
-        m = 1 + rng.next_u64() % 8
-        d = 1 + rng.next_u64() % m
-        re = SplitMix64(rng.next_u64()).random_array(1 << m) - 0.5
-        im = SplitMix64(rng.next_u64()).random_array(1 << m) - 0.5
+        m, d, re_seed, im_seed = rng.next_u64_array(4).tolist()
+        m = 1 + m % 8
+        d = 1 + d % m
+        re = SplitMix64(re_seed).random_array(1 << m) - 0.5
+        im = SplitMix64(im_seed).random_array(1 << m) - 0.5
         amps = re + 1j * im
         amps /= np.linalg.norm(amps)
-        plan = plan_truncated_qft(int(m), int(d))
+        plan = plan_truncated_qft(m, d)
         back = _applied(_applied(amps, plan), plan, inverse=True)
         assert np.max(np.abs(back - amps)) < 1e-12
 
@@ -206,8 +210,9 @@ def test_apply_plan_matches_unitary():
         for d in range(1, m + 1):
             plan = plan_truncated_qft(m, d)
             u = plan_unitary(plan)
-            re = SplitMix64(rng.next_u64()).random_array(1 << m) - 0.5
-            im = SplitMix64(rng.next_u64()).random_array(1 << m) - 0.5
+            re_seed, im_seed = rng.next_u64_array(2).tolist()
+            re = SplitMix64(re_seed).random_array(1 << m) - 0.5
+            im = SplitMix64(im_seed).random_array(1 << m) - 0.5
             amps = re + 1j * im
             amps /= np.linalg.norm(amps)
             out = _applied(amps, plan)
@@ -218,8 +223,9 @@ def test_apply_plan_to_array_batch_matches_single():
     rng = SplitMix64(1618)
     m, d = 5, 3
     plan = plan_truncated_qft(m, d)
-    batch = (SplitMix64(rng.next_u64()).random_array(6 * (1 << m))
-             + 1j * SplitMix64(rng.next_u64()).random_array(6 * (1 << m)))
+    re_seed, im_seed = rng.next_u64_array(2).tolist()
+    batch = (SplitMix64(re_seed).random_array(6 * (1 << m))
+             + 1j * SplitMix64(im_seed).random_array(6 * (1 << m)))
     batch = batch.reshape(6, 1 << m)
     batch /= np.linalg.norm(batch, axis=1, keepdims=True)
     stacked = batch.copy()

@@ -53,7 +53,8 @@ def test_parse_float_list():
     assert np.allclose(ratios, ratios[0])
     assert parse_float_list("0..1:lin3") == pytest.approx([0.0, 0.5, 1.0])
     assert parse_float_list("1e-3,2e-3") == pytest.approx([1e-3, 2e-3])
-    for bad in ("a", "1..2:geo5", "1..-1:log4", "1..2:log"):
+    assert parse_float_list("1e-3..1e-3:lin1") == [1e-3]
+    for bad in ("a", "1..2:geo5", "1..-1:log4", "1..2:log", "1e-3..1e-2:log1", "0..1:lin1"):
         with pytest.raises(UsageError):
             parse_float_list(bad)
 
@@ -199,6 +200,20 @@ def test_empty_or_nonfinite_sweep_is_a_usage_error(argv, tmp_path, capsys):
     out = tmp_path / "artifact.csv"
     assert main(argv + ["--out", str(out)]) == 1
     assert json.loads(capsys.readouterr().err.splitlines()[0])["error"] == "UsageError"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["tfim", "--n", "2", "--d", "3"],
+    ["tfim", "--n", "2", "--shots", "5"],
+    ["tfim", "--n", "2", "--m", "4", "--spectrum", "2"],
+], ids=" ".join)
+def test_tfim_refuses_the_flags_of_its_other_mode(argv, tmp_path, capsys):
+    out = tmp_path / "artifact.csv"
+    assert main(argv + ["--out", str(out)]) == 1
+    error = json.loads(capsys.readouterr().err.splitlines()[0])
+    assert error["error"] == "UsageError"
+    assert error["message"].startswith(f"{argv[-2]} applies to "), error
     assert not out.exists()
 
 

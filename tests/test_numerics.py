@@ -6,7 +6,6 @@ import pytest
 from tqft import numerics
 from tqft.numerics import (
     SplitMix64,
-    SymmetricMatrix,
     circular_distance,
     circular_distance_array,
     jacobi_eigh,
@@ -28,7 +27,7 @@ SPLITMIX_REFERENCE = {
 @pytest.mark.parametrize("seed", sorted(SPLITMIX_REFERENCE))
 def test_splitmix_reference_stream(seed):
     rng = SplitMix64(seed)
-    assert [rng.next_u64() for _ in range(5)] == SPLITMIX_REFERENCE[seed]
+    assert [int(rng.next_u64_array(1)[0]) for _ in range(5)] == SPLITMIX_REFERENCE[seed]
 
 
 @pytest.mark.parametrize("seed", sorted(SPLITMIX_REFERENCE))
@@ -44,7 +43,7 @@ def test_splitmix_vector_path_reference_stream(seed):
 def test_splitmix_vector_path_matches_scalar():
     batch = SplitMix64(7).next_u64_array(64)
     rng = SplitMix64(7)
-    assert [int(x) for x in batch] == [rng.next_u64() for _ in range(64)]
+    assert [int(x) for x in batch] == [int(rng.next_u64_array(1)[0]) for _ in range(64)]
 
     doubles = SplitMix64(7).random_array(64)
     rng = SplitMix64(7)
@@ -53,7 +52,7 @@ def test_splitmix_vector_path_matches_scalar():
 
 def test_splitmix_batch_continues_stream():
     rng = SplitMix64(99)
-    head = [rng.next_u64() for _ in range(3)]
+    head = [int(rng.next_u64_array(1)[0]) for _ in range(3)]
     tail = rng.next_u64_array(5)
     assert head + [int(x) for x in tail] == [int(x) for x in SplitMix64(99).next_u64_array(8)]
 
@@ -67,7 +66,7 @@ def test_splitmix_repeat_runs_identical():
 
 
 def test_splitmix_uniform_and_spawn():
-    assert SplitMix64(10).spawn(3).next_u64() == SplitMix64(13).next_u64()
+    assert SplitMix64(10).spawn(3).next_u64_array(1) == SplitMix64(13).next_u64_array(1)
     # spawned streams differ from the parent and from each other
     parent = SplitMix64(10).next_u64_array(4)
     child = SplitMix64(10).spawn(1).next_u64_array(4)
@@ -97,8 +96,9 @@ def test_splitmix_seeds_are_any_integer_modulo_2_64():
     for seed in (-1, ~0, -(2**64) - 1, np.int64(-1), np.uint64(2**64 - 1)):
         assert SplitMix64(seed).next_u64_array(3).tolist() == top
     assert SplitMix64(2**64 + 42).next_u64_array(5).tolist() == SPLITMIX_REFERENCE[42]
-    assert SplitMix64(10).spawn(-3).next_u64() == SplitMix64(7).next_u64()
-    assert SplitMix64(10).spawn(np.int32(3)).next_u64() == SplitMix64(13).next_u64()
+    assert SplitMix64(10).spawn(-3).next_u64_array(1) == SplitMix64(7).next_u64_array(1)
+    assert (SplitMix64(10).spawn(np.int32(3)).next_u64_array(1)
+            == SplitMix64(13).next_u64_array(1))
 
 
 def test_circular_distance_examples():
@@ -130,48 +130,47 @@ def test_circular_distance_properties():
         assert dist[i] == circular_distance(float(a[i]), float(b[i]))
 
 
-def test_symmetric_matrix_construction():
-    raw = np.array([[1.0, 2.0], [0.0, 3.0]])
-    mat = SymmetricMatrix(raw)
-    assert np.array_equal(mat.entries, mat.entries.T)
-    assert mat.entries[0, 1] == 1.0
-    assert np.trace(mat.entries) == 4.0
-    with pytest.raises(ValueError):
-        SymmetricMatrix(np.zeros((2, 3)))
+def test_jacobi_symmetrizes_and_refuses_non_square():
+    # [[1, 2], [0, 3]] is taken as [[1, 1], [1, 3]]: eigenvalues 2 -+ sqrt(2).
+    vals, _ = jacobi_eigh(np.array([[1.0, 2.0], [0.0, 3.0]]))
+    assert vals == pytest.approx([2.0 - math.sqrt(2.0), 2.0 + math.sqrt(2.0)], rel=1e-15)
+    for shape in ((2, 3), (4,), (2, 2, 2)):
+        with pytest.raises(ValueError, match="^expected a square 2-D array, got shape"):
+            jacobi_eigh(np.zeros(shape))
 
 
 def test_jacobi_diagonal_and_identity():
-    vals, vecs = jacobi_eigh(SymmetricMatrix(np.eye(4)))
+    vals, vecs = jacobi_eigh(np.eye(4))
     assert np.allclose(vals, 1.0)
     assert np.allclose(vecs @ vecs.T, np.eye(4), atol=1e-13)
 
     diag = np.diag([3.0, -1.0, 2.0])
-    vals, vecs = jacobi_eigh(SymmetricMatrix(diag))
+    vals, vecs = jacobi_eigh(diag)
     assert np.allclose(vals, [-1.0, 2.0, 3.0])
     assert np.allclose(diag @ vecs, vecs @ np.diag(vals), atol=1e-12)
 
     for x in (0.0, 3.5, -2.0):
-        vals, vecs = jacobi_eigh(SymmetricMatrix(np.array([[x]])))
+        vals, vecs = jacobi_eigh(np.array([[x]]))
         assert vals.tolist() == [x] and vecs.tolist() == [[1.0]]
 
 
 def test_jacobi_2x2_analytic():
     a, b, c = 2.0, 0.7, -1.0
     mean, radius = (a + c) / 2.0, math.hypot((a - c) / 2.0, b)
-    vals, _ = jacobi_eigh(SymmetricMatrix(np.array([[a, b], [b, c]])))
+    vals, _ = jacobi_eigh(np.array([[a, b], [b, c]]))
     assert vals == pytest.approx([mean - radius, mean + radius], rel=1e-14)
 
 
 def test_jacobi_equal_diagonal_negative_coupling():
     # tau = (a_qq - a_pp) / (2 a_pq) is -0.0 here; it rotates like tau = +0.0.
     s = float.fromhex("0x1.6a09e667f3bccp-1")
-    vals, vecs = jacobi_eigh(SymmetricMatrix(np.array([[0.5, -0.25], [-0.25, 0.5]])))
+    vals, vecs = jacobi_eigh(np.array([[0.5, -0.25], [-0.25, 0.5]]))
     assert vals.tolist() == [0.24999999999999994, 0.7499999999999999]
     assert vecs.tolist() == [[s, s], [s, -s]]
 
 
 def test_jacobi_zero_matrix():
-    vals, vecs = jacobi_eigh(SymmetricMatrix(np.zeros((5, 5))))
+    vals, vecs = jacobi_eigh(np.zeros((5, 5)))
     assert np.array_equal(vals, np.zeros(5))
     assert np.array_equal(vecs, np.eye(5))
 
@@ -183,22 +182,22 @@ def test_jacobi_random_matrices():
     sizes = [2] * 10 + [3] * 10 + [5] * 8 + [8] * 6 + [16] * 4 + [33, 64]
     for n in sizes:
         raw = rng.normal(size=(n, n)) * rng.choice([0.1, 1.0, 100.0])
-        mat = SymmetricMatrix(raw)
-        vals, vecs = jacobi_eigh(mat)
-        scale = np.linalg.norm(mat.entries)
+        mat = (raw + raw.T) / 2.0  # the matrix jacobi_eigh decomposes
+        vals, vecs = jacobi_eigh(raw)
+        scale = np.linalg.norm(mat)
         assert np.all(np.diff(vals) >= 0.0)
-        assert np.linalg.norm(mat.entries @ vecs - vecs * vals) <= 1e-10 * scale
+        assert np.linalg.norm(mat @ vecs - vecs * vals) <= 1e-10 * scale
         assert np.linalg.norm(vecs.T @ vecs - np.eye(n)) <= 1e-12
-        assert np.sum(vals) == pytest.approx(np.trace(mat.entries), rel=1e-12, abs=1e-12 * scale)
-        assert np.max(np.abs(vals - np.linalg.eigvalsh(mat.entries))) <= 1e-10 * scale
+        assert np.sum(vals) == pytest.approx(np.trace(mat), rel=1e-12, abs=1e-12 * scale)
+        assert np.max(np.abs(vals - np.linalg.eigvalsh(mat))) <= 1e-10 * scale
 
 
 @pytest.mark.parametrize("shift", [-900, -60, 60, 900])
 def test_jacobi_is_exact_under_power_of_two_scaling(shift):
     rng = np.random.default_rng(4)
     a = rng.standard_normal((6, 6))
-    vals, vecs = jacobi_eigh(SymmetricMatrix(a))
-    scaled_vals, scaled_vecs = jacobi_eigh(SymmetricMatrix(np.ldexp(a, shift)))
+    vals, vecs = jacobi_eigh(a)
+    scaled_vals, scaled_vecs = jacobi_eigh(np.ldexp(a, shift))
     assert np.array_equal(scaled_vals, np.ldexp(vals, shift))
     assert np.array_equal(scaled_vecs, vecs)
 
@@ -207,7 +206,7 @@ def test_jacobi_degenerate_spectrum():
     # repeated eigenvalues: projector onto a plane, eigenvalues {0, 0, 1, 1}
     basis = np.linalg.qr(np.random.default_rng(3).normal(size=(4, 4)))[0]
     proj = basis[:, :2] @ basis[:, :2].T
-    vals, vecs = jacobi_eigh(SymmetricMatrix(proj))
+    vals, vecs = jacobi_eigh(proj)
     assert np.allclose(np.sort(vals), [0.0, 0.0, 1.0, 1.0], atol=1e-12)
     assert np.linalg.norm(proj @ vecs - vecs * vals) <= 1e-12
 
@@ -215,11 +214,10 @@ def test_jacobi_degenerate_spectrum():
 def test_jacobi_budget_exhaustion_raises(monkeypatch):
     monkeypatch.setattr(numerics, "JACOBI_MAX_SWEEPS", 1)
     raw = np.random.default_rng(5).normal(size=(12, 12))
-    mat = SymmetricMatrix(raw)
     with pytest.raises(ArithmeticError, match="in 1 sweeps"):
-        jacobi_eigh(mat)
+        jacobi_eigh(raw)
 
 
 def test_jacobi_dimension_cap():
     with pytest.raises(ValueError):
-        jacobi_eigh(SymmetricMatrix(np.eye(1025)))
+        jacobi_eigh(np.eye(1025))

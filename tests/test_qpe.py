@@ -8,14 +8,13 @@ from hypothesis import strategies as st
 
 from tqft import qpe
 from tqft.calibration import tvd_bound
-from tqft.circuits import plan_truncated_qft, plan_unitary
+from tqft.circuits import apply_plan_to_array, plan_truncated_qft, plan_unitary
 from tqft.numerics import SplitMix64, circular_distance, circular_distance_array
 from tqft.qpe import (
     DIST_MAX_QUBITS,
     SCAN_MAX_QUBITS,
     SUCCESS_FLOOR,
     PhaseDistribution,
-    _statevector_distributions,
     closed_form_full_distribution,
     default_phase_sample,
     grid_phases,
@@ -41,10 +40,10 @@ def test_on_grid_phase_is_recovered_exactly():
 def test_distribution_matches_closed_form_kernel():
     rng = SplitMix64(606)
     for _ in range(30):
-        m = 2 + rng.next_u64() % 11  # 2..12
+        m = 2 + int(rng.next_u64_array(1)[0]) % 11  # 2..12
         phi = rng.random()
-        circuit = phase_distribution(phi, int(m), int(m))
-        kernel = closed_form_full_distribution(phi, int(m))
+        circuit = phase_distribution(phi, m, m)
+        kernel = closed_form_full_distribution(phi, m)
         assert np.max(np.abs(circuit.probs - kernel.probs)) < 1e-10
 
 
@@ -124,6 +123,15 @@ def test_batch_distributions_match_single():
     for i, phi in enumerate(phis):
         single = phase_distribution(float(phi), 6, 4)
         assert np.max(np.abs(batch[i] - single.probs)) < 1e-13
+
+
+def _statevector_distributions(phis, m, d):
+    """The outcome distributions by running the adjoint plan gate by gate
+    over the kickback states exp(2*pi*i*x*phi) / sqrt(2^m)."""
+    n = 1 << m
+    amps = np.exp(2j * np.pi * np.outer(np.asarray(phis) % 1.0, np.arange(n))) / math.sqrt(n)
+    apply_plan_to_array(amps, plan_truncated_qft(m, d), inverse=True)
+    return np.abs(amps) ** 2
 
 
 def _assert_matches_statevector(phis, m, d):
