@@ -19,6 +19,7 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .circuits import check_depth, check_int, gate_count
 
@@ -90,8 +91,7 @@ def cliff_depth(m: int) -> int:
     return (check_int("register size m", m, 2) - 1).bit_length() + 2
 
 
-@dataclass(frozen=True)
-class ErrorBudget:
+class ErrorBudget(NamedTuple):
     """Three-term RMSE decomposition, in phase units (turns).
 
     rmse^2 is exactly the sum of the precision, truncation, and noise
@@ -148,8 +148,7 @@ def crossover_error_rate(m: int, d: int, c: float = DEFAULT_NOISE_CONSTANT) -> f
     return eps
 
 
-@dataclass(frozen=True)
-class PlatformRow:
+class PlatformRow(NamedTuple):
     """One platform's depth rule and gate budget at register size m."""
 
     name: str

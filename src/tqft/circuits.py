@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,8 +37,7 @@ CONTROLLED_PHASE = "CP"
 BIT_REVERSAL = "BITREV"
 
 
-@dataclass(frozen=True)
-class GateOp:
+class GateOp(NamedTuple):
     """One plan element: H <target>, CP <k> <control> <target>, or BITREV."""
 
     kind: str

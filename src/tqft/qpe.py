@@ -30,6 +30,19 @@ mean_success_probability reads only the <= 4 candidate outcomes of each
 phase's success window. The sample checks (register cap, 1-D, non-empty,
 finite) have one owner, _reduced_phases. Tests check the kernel against
 the closed-form full-depth kernel and circuits.apply_plan_to_array.
+
+Periodicity. For t <= d, P_d(y + 2^(m-t) mod N | phi + 2^-t) = P_d(y | phi),
+and so for P_m too, since m >= d. In stage j the factor's angle is
+frac(2^j phi) minus the bits y_j .. y_(j+k-1) read as a binary fraction,
+k = min(d, m - j). For j >= t neither term moves: 2^j 2^-t is an integer,
+and adding 2^(m-t) to y changes only the bits y_0 .. y_(t-1). For j < t,
+k >= t - j, so the window holds y_(t-1), and the windowed fraction grows
+by 2^(j-t) mod 1 (a carry past y_j drops out mod 1), exactly as
+frac(2^j phi) does. Relabelling y is a bijection that carries the success
+window with it, so TV(P_m, P_d) and the success probability both have
+period 2^-d in phi. The scans therefore evaluate one phase per residue
+class mod 2^-d, its first in the sample (_representatives); in floats,
+two phases of one class agree only to rounding.
 """
 
 from __future__ import annotations
@@ -49,8 +62,9 @@ DIST_MAX_QUBITS = 20  # distribution experiments stay desk-scale
 SCAN_MAX_QUBITS = 12  # scans over a phase sample (max_tvd_scan, mean success) get a tighter cap
 
 # Most seeded phases, and most grid points, one sample may hold. Both at the
-# cap (200 000 phases) take `tvd --m 12 --d all` 50 s, 0.25 ms a phase
-# (2-vCPU Xeon, Python 3.11, numpy 2.4); time grows linearly with the count.
+# cap (200 000 phases, 150 000 classes mod 2^-1) take `tvd --m 12 --d all`
+# 29-30 s, 0.2 ms a class (2-vCPU Xeon, Python 3.11, numpy 2.4); time grows
+# linearly with the number of residue classes.
 MAX_PHASES = 100_000
 # Most outcomes drawn per phase: 10^6 draws add 0.08 s and 23 MB to a
 # `tfim --n 16 --m 12` trial (0.17 s in all), inside its 1 s budget.
@@ -58,18 +72,18 @@ MAX_SHOTS = 1_000_000
 
 # Table entries per block: 2 MiB of float64, the L2 of one core. Every
 # table path fills BLOCK_ENTRIES >> m phases at a time (at least one).
-# Medians of 7 interleaved runs of the in-place kernel on the default
-# 4596-phase sample, range over two sweeps (2-vCPU Xeon, Python 3.11,
-# numpy 2.4), for max_tvd_scan(10, 1..10) / ten max_tvd(10, d) calls /
-# phase_distributions(., 12, 12):
-#   2^16: 0.20-0.22 / 0.43-0.48 / 0.22-0.26 s
-#   2^17: 0.17-0.19 / 0.35-0.38 / 0.18-0.21 s
-#   2^18: 0.19-0.20 / 0.34-0.38 / 0.17-0.23 s
-#   2^19: 0.20-0.22 / 0.38-0.42 / 0.19 s
-#   2^20: 0.21-0.24 / 0.45-0.49 / 0.18-0.20 s
-# 2^17 and 2^18 differ by less than the spread between sweeps (2^18 ran the
-# ten max_tvd calls, the perfbench scan, fastest in both); a larger block
-# raises peak RSS.
+# Medians of 7 interleaved runs on the default 4596-phase sample, range over
+# two sweeps (2-vCPU Xeon, Python 3.11, numpy 2.4), for max_tvd_scan(10,
+# 1..10) / ten max_tvd(10, d) calls / phase_distributions(., 12, 12). The
+# scans evaluate one phase per residue class (2548 phases at d = 1, 1524 at
+# d = 2, ...), at most 10 blocks of 256 phases at m = 10:
+#   2^16: 0.071-0.085 / 0.077-0.092 / 0.18-0.24 s
+#   2^17: 0.065-0.082 / 0.069-0.076 / 0.15-0.19 s
+#   2^18: 0.076-0.081 / 0.066-0.080 / 0.14-0.16 s
+#   2^19: 0.086-0.088 / 0.070-0.086 / 0.15-0.16 s
+#   2^20: 0.094-0.101 / 0.077-0.078 / 0.14-0.15 s
+# 2^17 and 2^18 differ by less than the spread between sweeps; a larger
+# block raises peak RSS.
 BLOCK_ENTRIES = 1 << 18
 
 # Probability that phase estimation lands within one grid cell of the true
@@ -156,6 +170,19 @@ def _reduced_phases(phis, m: int, cap: int) -> np.ndarray:
     if not np.isfinite(phis).all():
         raise ValueError("phase sample holds a non-finite value")
     return phis % 1.0
+
+
+def _representatives(phis: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted indices of the first phase of each residue class mod 2^-d
+    in `phis`, and each class's phase count. The class key frac(phi * 2^d)
+    is exact in binary floating point (a power-of-two scale, then the floor
+    subtracted), so two phases share a key exactly when they differ by a
+    multiple of 2^-d."""
+    key = phis * 2.0**d
+    key -= np.floor(key)
+    _, first, sizes = np.unique(key, return_index=True, return_counts=True)
+    order = np.argsort(first)
+    return first[order], sizes[order]
 
 
 def _fill(batch: np.ndarray, m: int, d: int, weights=None, out=None) -> np.ndarray:
@@ -277,17 +304,27 @@ def max_tvd(m: int, d: int, phases: np.ndarray) -> tuple[float, float]:
 def max_tvd_scan(m: int, depths, phases: np.ndarray) -> list[tuple[float, float]]:
     """max_tvd for every requested depth, one (max value, argmax phase) each.
 
-    Streams the sample through (2^m, phases) blocks: each block builds the
-    d = m reference and its stage weights once and reduces every truncated
-    depth against it, so no (phases, 2^m) table is ever held. |ref - trunc|
-    is summed over the outcome axis by an in-place halving tree, a pairwise
-    sum (within m ulps of exact) at the cost of sum(axis=0). The argmax
-    phase is returned as the caller gave it, not reduced mod 1. All depths
-    are validated before any table is built.
+    The TV at depth d has period 2^-d in phi (module docstring), so only
+    the first sample phase of each class mod 2^-d is evaluated. These
+    representatives are nested, a representative for d being one for every
+    smaller depth, so the sample is cut once to those of the smallest depth
+    and one full-depth reference over them serves every depth; depth d
+    takes its maximum over its own representatives only, so every depth
+    reads exactly what a one-depth call computes. The cut sample streams
+    through (2^m, phases) blocks: each block builds the d = m reference and
+    its stage weights once and reduces every truncated depth against it, so
+    no (phases, 2^m) table is ever held. |ref - trunc| is summed over the
+    outcome axis by an in-place halving tree, a pairwise sum (within m ulps
+    of exact) at the cost of sum(axis=0). The argmax phase is the first
+    sample phase of the maximising class (of the earliest such class when
+    several tie), returned as the caller gave it, not reduced mod 1. All
+    depths are validated before any table is built.
     """
     depths = [check_depth(m, d)[1] for d in depths]
     raw = np.asarray(phases, dtype=np.float64)
     phis = _reduced_phases(raw, m, SCAN_MAX_QUBITS)
+    keep = _representatives(phis, min(depths, default=m))[0]
+    phis = phis[keep]
     truncated = [(i, d) for i, d in enumerate(depths) if d != m]  # d = m has TVD 0
     tv = np.zeros((len(depths), len(phis)))
     cols = min(len(phis), max(1, BLOCK_ENTRIES >> m))
@@ -302,8 +339,12 @@ def max_tvd_scan(m: int, depths, phases: np.ndarray) -> list[tuple[float, float]
             for b in range(m - 1, -1, -1):  # halving tree: rows r and r + 2^b
                 diff[:1 << b] += diff[1 << b:2 << b]
             tv[i, start:start + cols] = 0.5 * diff[0]
-    best = tv.argmax(axis=1)
-    return [(float(tv[i, b]), float(raw[b])) for i, b in enumerate(best)]
+    result = []
+    for i, d in enumerate(depths):
+        reps = _representatives(phis, d)[0]
+        b = reps[tv[i, reps].argmax()]
+        result.append((float(tv[i, b]), float(raw[keep[b]])))
+    return result
 
 
 def success_probability(phi: float, m: int, d: int) -> float:
@@ -318,11 +359,15 @@ def mean_success_probability(phis: np.ndarray, m: int, d: int, shots: int | None
     The success window is the outcomes within circular distance 2^-m of
     phi; only the candidates floor(phi*N)-1 .. floor(phi*N)+2 (mod N) can
     be that close, so only they are tested. Exact mode (shots=None)
-    gathers their probabilities from the (2^m, phases) block and sums the
-    window in ascending outcome order. Sampled mode draws `shots` outcomes
+    evaluates one phase per residue class mod 2^-d, its first in the sample,
+    since the success probability has period 2^-d (module docstring): it
+    gathers their probabilities from the (2^m, phases) block, sums each
+    window in ascending outcome order, and weights each sum by its class's
+    phase count over the sample length. Sampled mode draws `shots` outcomes
     with `rng` from each phase's row of the same block, transposed once so
     each row is contiguous, and reports the success fraction over all
-    draws, which fluctuates binomially around the exact value. A sampled
+    draws, which fluctuates binomially around the exact value; it keeps
+    one row, and one stretch of the rng stream, per phase. A sampled
     row that fails the PhaseDistribution check is raised as
     ArithmeticError. The sample is scored one block at a time, in one
     buffer reused for every block, so no (phases, 2^m) table of the whole
@@ -334,6 +379,10 @@ def mean_success_probability(phis: np.ndarray, m: int, d: int, shots: int | None
         shots = check_int("shot count", shots, 1, MAX_SHOTS)
     m, d = check_depth(m, d)
     phis = _reduced_phases(phis, m, SCAN_MAX_QUBITS)  # checks the whole sample first
+    count = len(phis)
+    if shots is None:
+        keep, sizes = _representatives(phis, d)
+        phis = phis[keep]
     n_out, cols = 1 << m, min(len(phis), max(1, BLOCK_ENTRIES >> m))
     offsets = np.arange(-1, min(4, n_out) - 1)[:, None]  # 2 at m = 1: no outcome twice
     buf = np.empty((n_out, cols))  # reused by every block
@@ -354,8 +403,8 @@ def mean_success_probability(phis: np.ndarray, m: int, d: int, shots: int | None
             drawn = sample_outcomes(_checked(row, m, d), shots, rng)
             hits += int(np.count_nonzero(drawn[:, None] == window))
     if shots is None:
-        return float(np.concatenate(sums).mean())
-    return hits / (shots * len(phis))
+        return float((sizes * np.concatenate(sums)).sum() / count)
+    return hits / (shots * count)
 
 
 def sample_outcomes(dist: PhaseDistribution, shots: int, rng: SplitMix64) -> np.ndarray:

@@ -30,6 +30,7 @@ that need a generic target use an off-grid excited state.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -160,8 +161,7 @@ def decode_phase(phi: float, e_scale: float) -> float:
     return (phi - 0.5) * _SCALES_PER_TURN * e_scale
 
 
-@dataclass(frozen=True)
-class QpeEnergyResult:
+class QpeEnergyResult(NamedTuple):
     """One phase-estimation accuracy trial against a chain eigenvalue.
 
     The simulated figures (estimate and RMSE over the exact outcome

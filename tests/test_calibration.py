@@ -1,5 +1,4 @@
 import math
-from dataclasses import astuple
 from fractions import Fraction
 
 import pytest
@@ -139,7 +138,7 @@ def test_full_depth_budget_is_the_d_equals_m_budget():
         for eps in (0.0, 1e-4, 3e-3):
             for c in (0.033, 1.0):
                 full, at_m = error_budget(m, None, eps, c), error_budget(m, m, eps, c)
-                for a, b in zip(astuple(full), astuple(at_m)):
+                for a, b in zip(full, at_m):
                     assert a.hex() == b.hex(), (m, eps, c)
 
 

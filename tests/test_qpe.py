@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -168,6 +169,12 @@ def test_blocked_table_equals_single_rows():
 
 
 def test_tvd_scan_equals_one_depth_calls():
+    # Each depth maximises over its own class representatives, never over a
+    # smaller depth's, so a sweep reads what one-depth calls do.
+    for m in (4, 5, 6):
+        depths = range(1, m + 1)
+        sample = default_phase_sample()
+        assert max_tvd_scan(m, depths, sample) == [max_tvd(m, d, sample) for d in depths], m
     phis = default_phase_sample()[::4]  # 1149 phases: five blocks at m = 10
     depths = [7, 1, 10, 3, 3]
     scan = max_tvd_scan(10, depths, phis)
@@ -288,12 +295,32 @@ def test_tvd_scan_returns_the_callers_phase():
     assert max_tvd(5, 2, grid - 2.0) == (worst, arg - 2.0)  # dyadic: the shift is exact
 
 
+def _classes(phis, d):
+    """(first index, size) of each residue class mod 2^-d of the sample
+    mod 1, in sample order, from exact rational residues."""
+    first, sizes = {}, {}
+    for i, phi in enumerate(np.asarray(phis, dtype=np.float64) % 1.0):
+        r = Fraction(float(phi)) % Fraction(1, 1 << d)
+        first.setdefault(r, i)
+        sizes[r] = sizes.get(r, 0) + 1
+    return np.array(list(first.values())), np.array([sizes[r] for r in first])
+
+
+def _class_weighted_mean(window_sums, phis, d):
+    """The exact-mode reduction: each class's first window sum, weighted by
+    the class size, over the sample length."""
+    reps, sizes = _classes(phis, d)
+    return (sizes * window_sums[reps]).sum() / len(phis)
+
+
 def test_blocked_success_equals_the_table_reduction():
     phis = default_phase_sample()[::4]  # 1149 phases: five blocks at m = 10
     probs = phase_distributions(phis, 10, 4)
     outcomes = np.arange(1024) / 1024
     window = circular_distance_array(phis[:, None], outcomes[None, :]) <= 2.0**-10
-    assert mean_success_probability(phis, 10, 4) == np.where(window, probs, 0.0).sum(axis=1).mean()
+    sums = np.where(window, probs, 0.0).sum(axis=1)
+    assert mean_success_probability(phis, 10, 4) == _class_weighted_mean(sums, phis, 4)
+    assert abs(mean_success_probability(phis, 10, 4) - sums.mean()) <= 1e-15
     rng = SplitMix64(5)
     hits = sum(int(np.count_nonzero(window[i][sample_outcomes(phase_distribution(phi, 10, 4), 7, rng)]))
                for i, phi in enumerate(phis))
@@ -308,8 +335,9 @@ def test_success_window_equals_the_table_reduction_at_every_register_size(m):
     window = circular_distance_array(phis[:, None], (np.arange(n) / n)[None, :]) <= 2.0**-m
     for d in sorted({1, (m + 1) // 2, m}):
         probs = phase_distributions(phis, m, d)
-        exact = np.where(window, probs, 0.0).sum(axis=1).mean()
-        assert mean_success_probability(phis, m, d) == exact, d
+        sums = np.where(window, probs, 0.0).sum(axis=1)
+        assert mean_success_probability(phis, m, d) == _class_weighted_mean(sums, phis, d), d
+        assert abs(mean_success_probability(phis, m, d) - sums.mean()) <= 1e-15, d
     rng = SplitMix64(m)  # sampled mode at d = m, the last table above
     hits = sum(int(np.count_nonzero(window[i][sample_outcomes(PhaseDistribution(m, row), 5, rng)]))
                for i, row in enumerate(probs))
@@ -415,6 +443,103 @@ def test_bound_tightness_band():
             worst, _ = max_tvd(m, d, phases=sample)
             ratios.append(worst / (math.pi * (m - d) / 2**d))
     assert 0.03 <= min(ratios) and max(ratios) <= 0.31
+
+
+# Phases k / 2^52: adding any 2^-t, t >= 1, and reducing mod 1 are exact.
+DYADIC_PHASES = st.integers(0, (1 << 52) - 1).map(lambda k: k * 2.0**-52)
+PERIOD_ULPS = 8 * math.ulp(1.0)  # observed at most 4 over 3000 random (m, d, t, phi)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(m=st.integers(1, 10), data=st.data())
+def test_shifting_the_phase_by_2_to_the_minus_t_rotates_the_outcomes(m, data):
+    """P_d(y + 2^(m-t) mod N | phi + 2^-t) = P_d(y | phi) for t <= d, the
+    covariance behind the 2^-d period (qpe module docstring)."""
+    d = data.draw(st.integers(1, m), label="d")
+    t = data.draw(st.integers(1, d), label="t")
+    phi = data.draw(DYADIC_PHASES, label="phi")
+    rows = phase_distributions([phi, phi + 2.0**-t], m, d)
+    assert np.max(np.abs(np.roll(rows[0], 1 << (m - t)) - rows[1])) <= PERIOD_ULPS
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(m=st.integers(1, 10), data=st.data())
+def test_tvd_and_success_have_period_2_to_the_minus_d(m, data):
+    d = data.draw(st.integers(1, m), label="d")
+    phi = data.draw(DYADIC_PHASES, label="phi")
+    shifted = phi + data.draw(st.integers(1, (1 << d) - 1), label="k") * 2.0**-d
+    assert abs(max_tvd(m, d, [phi])[0] - max_tvd(m, d, [shifted])[0]) <= PERIOD_ULPS
+    assert abs(success_probability(phi, m, d) - success_probability(shifted, m, d)) <= PERIOD_ULPS
+
+
+def test_half_a_period_is_not_a_period():
+    """A shift by 2^-(d+1) moves both quantities: 2^-d is the period, not a multiple of it."""
+    m, d, phi = 4, 2, 0.3
+    assert max_tvd(m, d, [phi])[0] == pytest.approx(0.11128327849554297, rel=1e-12)
+    assert max_tvd(m, d, [phi + 2.0**-(d + 1)])[0] == pytest.approx(0.32006689575565306, rel=1e-12)
+    assert success_probability(phi, m, d) == pytest.approx(0.8337315176764164, rel=1e-12)
+    assert success_probability(phi + 2.0**-(d + 1), m, d) == pytest.approx(0.6213237268681754,
+                                                                           rel=1e-12)
+
+
+@st.composite
+def _class_samples(draw, m):
+    """Phase samples with many phases per residue class: grid points, free
+    floats, phases outside [0, 1), and repeats shifted by periods and integers."""
+    base = draw(st.lists(st.one_of(
+        st.integers(0, 4095).map(lambda k: k / 4096),
+        st.floats(0.0, 1.0, exclude_max=True),
+        st.floats(-3.0, 3.0),
+    ), min_size=1, max_size=12), label="base")
+    shifts = st.tuples(st.sampled_from(base), st.integers(0, 1 << m), st.integers(-2, 2))
+    extra = draw(st.lists(shifts, max_size=12), label="repeats")
+    return base + [phi + k * 2.0**-m + n for phi, k, n in extra]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(m=st.integers(1, 10), data=st.data())
+def test_class_scans_equal_an_exhaustive_per_phase_scan(m, data):
+    phases = data.draw(_class_samples(m), label="phases")
+    depths = data.draw(st.one_of(st.just([m]), st.lists(st.integers(1, m), min_size=1,
+                                                        max_size=4)), label="depths")
+    for d, (value, arg) in zip(depths, max_tvd_scan(m, depths, phases)):
+        per_phase = [max_tvd(m, d, [phi])[0] for phi in phases]
+        assert abs(value - max(per_phase)) <= 1e-15, d
+        # The first sample phase of the earliest maximising class, as given.
+        reps, _ = _classes(phases, d)
+        assert arg == phases[min(i for i in reps if per_phase[i] == value)], d
+        exact = mean_success_probability(phases, m, d)
+        assert abs(exact - np.mean([success_probability(phi, m, d) for phi in phases])) <= 1e-15, d
+
+
+def test_a_single_phase_and_full_depth_only_scans():
+    assert max_tvd_scan(6, [6], [2.7, 0.7, 0.2]) == [(0.0, 2.7)]
+    for d in range(1, 7):
+        value, arg = max_tvd(6, d, [-1.3])
+        assert arg == -1.3 and value == max_tvd(6, d, [0.7])[0]
+        assert mean_success_probability([-1.3, 0.7], 6, d) == success_probability(0.7, 6, d)
+
+
+def test_scans_fill_one_column_per_residue_class(monkeypatch):
+    fill, columns = qpe._fill, {}  # phase columns filled, per depth
+
+    def counting_fill(batch, m, d, *args):
+        columns[d] = columns.get(d, 0) + len(batch)
+        return fill(batch, m, d, *args)
+    monkeypatch.setattr(qpe, "_fill", counting_fill)
+    sample = default_phase_sample()
+    for d in range(1, 11):
+        classes = len({Fraction(float(phi)) % Fraction(1, 1 << d) for phi in sample})
+        assert classes < len(sample)
+        columns.clear()
+        max_tvd(10, d, sample)
+        assert columns == ({} if d == 10 else {10: classes, d: classes}), d
+        columns.clear()
+        mean_success_probability(sample, 10, d)
+        assert columns == {d: classes}, d
+    columns.clear()
+    mean_success_probability(sample, 10, 3, 1, SplitMix64(1))
+    assert columns == {3: len(sample)}  # sampled mode keeps one row per phase
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
