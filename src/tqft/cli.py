@@ -256,9 +256,10 @@ def _emit(args, rows: list[dict]) -> int:
 def cmd_tvd(args) -> int:
     """Max TVD between truncated and full estimation vs the two bounds."""
     sample = default_phase_sample(args.seed, args.phases, args.grid)
+    sweep = _depths_for(args)
     rows, violated = [], False
-    for m, m_depths in _depths_for(args):
-        for d, (max_tv, _) in zip(m_depths, max_tvd_scan(m, m_depths, sample)):
+    for (m, m_depths), scans in zip(sweep, max_tvd_scan(sweep, sample)):
+        for d, (max_tv, _) in zip(m_depths, scans):
             tight = tvd_bound(m, d, form="tight")
             loose = tvd_bound(m, d, form="loose")
             ratio = max_tv / loose if loose > 0.0 else 0.0

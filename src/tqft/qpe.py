@@ -24,8 +24,8 @@ weights come from one einsum against a cached per-depth cos/sin operand.
 phase_distributions is the one path that transposes a block, into its
 (phases, 2^m) table. The scans over a sample hold no table and reduce
 over the outcome axis: max_tvd_scan builds the full-depth reference and
-its stage weights once per block for every depth to reuse (max_tvd is its
-one-depth case), in two buffers allocated once per call, and
+its stage weights once per block for every depth of an m to reuse
+(max_tvd is its one-depth case), in two buffers allocated once per m, and
 mean_success_probability reads only the <= 4 candidate outcomes of each
 phase's success window. The sample checks (register cap, 1-D, non-empty,
 finite) have one owner, _reduced_phases. Tests check the kernel against
@@ -42,7 +42,10 @@ frac(2^j phi) does. Relabelling y is a bijection that carries the success
 window with it, so TV(P_m, P_d) and the success probability both have
 period 2^-d in phi. The scans therefore evaluate one phase per residue
 class mod 2^-d, its first in the sample (_representatives); in floats,
-two phases of one class agree only to rounding.
+two phases of one class agree only to rounding. The representatives are
+nested: a class mod 2^-t, t < d, lies inside one mod 2^-d, so each one
+for d is one for every t <= d, and depth d's are the first n_d in a
+sweep's prefix order (_class_order).
 """
 
 from __future__ import annotations
@@ -63,8 +66,8 @@ SCAN_MAX_QUBITS = 12  # scans over a phase sample (max_tvd_scan, mean success) g
 
 # Most seeded phases, and most grid points, one sample may hold. Both at the
 # cap (200 000 phases, 150 000 classes mod 2^-1) take `tvd --m 12 --d all`
-# 29-30 s, 0.2 ms a class (2-vCPU Xeon, Python 3.11, numpy 2.4); time grows
-# linearly with the number of residue classes.
+# 29 s (2-vCPU Xeon, Python 3.11, numpy 2.4); time grows linearly with the
+# number of residue classes each depth fills.
 MAX_PHASES = 100_000
 # Most outcomes drawn per phase: 10^6 draws add 0.08 s and 23 MB to a
 # `tfim --n 16 --m 12` trial (0.17 s in all), inside its 1 s budget.
@@ -73,15 +76,15 @@ MAX_SHOTS = 1_000_000
 # Table entries per block: 2 MiB of float64, the L2 of one core. Every
 # table path fills BLOCK_ENTRIES >> m phases at a time (at least one).
 # Medians of 7 interleaved runs on the default 4596-phase sample, range over
-# two sweeps (2-vCPU Xeon, Python 3.11, numpy 2.4), for max_tvd_scan(10,
-# 1..10) / ten max_tvd(10, d) calls / phase_distributions(., 12, 12). The
+# two sweeps (2-vCPU Xeon, Python 3.11, numpy 2.4), for max_tvd_scan([(10,
+# 1..10)]) / ten max_tvd(10, d) calls / phase_distributions(., 12, 12). The
 # scans evaluate one phase per residue class (2548 phases at d = 1, 1524 at
 # d = 2, ...), at most 10 blocks of 256 phases at m = 10:
-#   2^16: 0.071-0.085 / 0.077-0.092 / 0.18-0.24 s
-#   2^17: 0.065-0.082 / 0.069-0.076 / 0.15-0.19 s
-#   2^18: 0.076-0.081 / 0.066-0.080 / 0.14-0.16 s
-#   2^19: 0.086-0.088 / 0.070-0.086 / 0.15-0.16 s
-#   2^20: 0.094-0.101 / 0.077-0.078 / 0.14-0.15 s
+#   2^16: 0.051-0.055 / 0.099-0.109 / 0.25 s
+#   2^17: 0.044-0.048 / 0.076-0.088 / 0.18-0.22 s
+#   2^18: 0.047-0.051 / 0.077-0.092 / 0.17-0.19 s
+#   2^19: 0.052-0.056 / 0.082-0.093 / 0.18-0.19 s
+#   2^20: 0.059-0.064 / 0.097-0.110 / 0.17-0.20 s
 # 2^17 and 2^18 differ by less than the spread between sweeps; a larger
 # block raises peak RSS.
 BLOCK_ENTRIES = 1 << 18
@@ -298,53 +301,76 @@ def max_tvd(m: int, d: int, phases: np.ndarray) -> tuple[float, float]:
 
     Returns (max value, argmax phase).
     """
-    return max_tvd_scan(m, [d], phases)[0]
+    return max_tvd_scan([(m, [d])], phases)[0][0]
 
 
-def max_tvd_scan(m: int, depths, phases: np.ndarray) -> list[tuple[float, float]]:
-    """max_tvd for every requested depth, one (max value, argmax phase) each.
+def max_tvd_scan(sweep, phases: np.ndarray) -> list[list[tuple[float, float]]]:
+    """max_tvd for each (m, depths) entry of `sweep`: a list per entry, with
+    one (max value, argmax phase) per depth, in the order given.
 
-    The TV at depth d has period 2^-d in phi (module docstring), so only
-    the first sample phase of each class mod 2^-d is evaluated. These
-    representatives are nested, a representative for d being one for every
-    smaller depth, so the sample is cut once to those of the smallest depth
-    and one full-depth reference over them serves every depth; depth d
-    takes its maximum over its own representatives only, so every depth
-    reads exactly what a one-depth call computes. The cut sample streams
-    through (2^m, phases) blocks: each block builds the d = m reference and
-    its stage weights once and reduces every truncated depth against it, so
-    no (phases, 2^m) table is ever held. |ref - trunc| is summed over the
-    outcome axis by an in-place halving tree, a pairwise sum (within m ulps
-    of exact) at the cost of sum(axis=0). The argmax phase is the first
-    sample phase of the maximising class (of the earliest such class when
-    several tie), returned as the caller gave it, not reduced mod 1. All
-    depths are validated before any table is built.
+    The TV at depth d has period 2^-d in phi (module docstring), so depth d
+    evaluates only its representatives, the first n_d columns of a prefix
+    order (_class_order) built once for the whole sweep. The argmax phase
+    is the first sample phase of the maximising class (the earliest in the
+    sample on a tie), as the caller gave it, not reduced mod 1; a d = m row
+    is (0.0, first sample phase) and builds nothing. Every m and depth is
+    validated before any table is built.
     """
-    depths = [check_depth(m, d)[1] for d in depths]
+    sweep = [(check_int("register size m", m, 1), [check_depth(m, d)[1] for d in depths])
+             for m, depths in sweep]
     raw = np.asarray(phases, dtype=np.float64)
-    phis = _reduced_phases(raw, m, SCAN_MAX_QUBITS)
-    keep = _representatives(phis, min(depths, default=m))[0]
-    phis = phis[keep]
-    truncated = [(i, d) for i, d in enumerate(depths) if d != m]  # d = m has TVD 0
-    tv = np.zeros((len(depths), len(phis)))
-    cols = min(len(phis), max(1, BLOCK_ENTRIES >> m))
-    ref_buf, diff_buf = np.empty((2, 1 << m, cols))  # reused by every block and depth
-    for start in range(0, len(phis) if truncated else 0, cols):
+    phis = _reduced_phases(raw, max((m for m, _ in sweep), default=1), SCAN_MAX_QUBITS)
+    order, counts = _class_order(phis, {d for m, depths in sweep for d in depths if d < m})
+    result = []
+    for m, depths in sweep:
+        truncated = {d: counts[d] for d in depths if d < m}
+        best = _truncation_maxima(phis, order, m, truncated) if truncated else {}
+        best[m] = (0.0, 0)  # d = m has TVD 0
+        result.append([(float(value), float(raw[i])) for value, i in map(best.get, depths)])
+    return result
+
+
+def _class_order(phis: np.ndarray, depths) -> tuple[np.ndarray, dict[int, int]]:
+    """The smallest depth's representatives in prefix order (module
+    docstring), stably sorted by the deepest of `depths` for which each is
+    still one, deepest first, and the count n_d of each depth's."""
+    deepest = np.zeros(len(phis), dtype=np.int64)
+    for d in sorted(depths):
+        deepest[_representatives(phis, d)[0]] = d
+    reps = np.flatnonzero(deepest)
+    order = reps[np.argsort(-deepest[reps], kind="stable")]
+    return order, {d: int(np.count_nonzero(deepest >= d)) for d in depths}
+
+
+def _truncation_maxima(phis, order, m: int, counts: dict[int, int]) -> dict[int, tuple]:
+    """For each depth d < m, the largest TV(P_m, P_d) over the first
+    counts[d] phases of phis[order], and the earliest sample index in
+    `order` that reaches it. Each (2^m, phases) block builds the d = m
+    reference and its stage weights once; depth d fills only the block's
+    columns below counts[d], through column slices of both, so every float
+    is what a one-depth call computes and no (phases, 2^m) table is held.
+    |ref - trunc| is summed over the outcome axis by an in-place halving
+    tree, a pairwise sum (within m ulps of exact) at the cost of
+    sum(axis=0). The block buffers and TV rows go on return, before the
+    sweep's next m allocates: kept, they raised `tqft suite`'s peak RSS.
+    """
+    phis, width = phis[order], max(counts.values())
+    cols = min(width, max(1, BLOCK_ENTRIES >> m))
+    tv = {d: np.empty(n) for d, n in counts.items()}
+    ref_buf, diff_buf = np.empty((2, 1 << m, cols))
+    for start in range(0, width, cols):
         batch = phis[start:start + cols]
         weights = [_stage_weights(batch, j, m - j) for j in range(m)]
         ref = _fill(batch, m, m, weights, ref_buf)
-        for i, d in truncated:
-            diff = _fill(batch, m, d, weights, diff_buf)
-            np.abs(np.subtract(ref, diff, out=diff), out=diff)
-            for b in range(m - 1, -1, -1):  # halving tree: rows r and r + 2^b
-                diff[:1 << b] += diff[1 << b:2 << b]
-            tv[i, start:start + cols] = 0.5 * diff[0]
-    result = []
-    for i, d in enumerate(depths):
-        reps = _representatives(phis, d)[0]
-        b = reps[tv[i, reps].argmax()]
-        result.append((float(tv[i, b]), float(raw[keep[b]])))
-    return result
+        for d, out in tv.items():
+            n = len(out[start:start + cols])  # the block's columns of depth d
+            if n:
+                diff = _fill(batch[:n], m, d, [w[:, :n] for w in weights], diff_buf)
+                np.abs(np.subtract(ref[:, :n], diff, out=diff), out=diff)
+                for b in range(m - 1, -1, -1):  # halving tree: rows r and r + 2^b
+                    diff[:1 << b] += diff[1 << b:2 << b]
+                np.multiply(diff[0], 0.5, out=out[start:start + n])
+    return {d: (v.max(), order[:len(v)][v == v.max()].min()) for d, v in tv.items()}
 
 
 def success_probability(phi: float, m: int, d: int) -> float:

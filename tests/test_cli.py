@@ -127,12 +127,30 @@ def test_tvd_zero_row_and_exit(tmp_path):
 
 def test_tvd_table_protocol_row_count(tmp_path):
     out = tmp_path / "tvd.csv"
-    assert main(["tvd", "--m", "4,5,6", "--d", "all", "--phases", "50",
-                 "--grid", "64", "--out", str(out)]) == 0
+    flags = ["--d", "all", "--phases", "50", "--grid", "64", "--out", str(out)]
+    assert main(["tvd", "--m", "4,5,6", *flags]) == 0
     _, rows = read_artifact(out)
     assert len(rows) == 15  # 4 + 5 + 6 depth choices
     for row in rows:
         assert float(row["max_tv"]) <= float(row["bound_tight"]) + 1e-12
+    # One scan serves the whole sweep; it writes what one run per m writes.
+    single = []
+    for m in ("4", "5", "6"):
+        assert main(["tvd", "--m", m, *flags]) == 0
+        single += read_artifact(out)[1]
+    assert rows == single
+
+
+def test_tvd_over_cap_register_builds_no_table(monkeypatch, tmp_path, capsys):
+    def no_table(*_):
+        raise AssertionError("a table was built")
+    monkeypatch.setattr(qpe, "_fill", no_table)
+    out = tmp_path / "tvd.csv"
+    assert main(["tvd", "--m", "4,13", "--d", "1", "--out", str(out)]) == 1
+    payload = json.loads(capsys.readouterr().err.splitlines()[0])
+    assert payload == {"error": "UsageError",
+                       "message": "register size m=13 exceeds the cap m <= 12"}
+    assert not out.exists()
 
 
 def test_usage_error_exit_codes(tmp_path, capsys):

@@ -174,10 +174,10 @@ def test_tvd_scan_equals_one_depth_calls():
     for m in (4, 5, 6):
         depths = range(1, m + 1)
         sample = default_phase_sample()
-        assert max_tvd_scan(m, depths, sample) == [max_tvd(m, d, sample) for d in depths], m
+        assert max_tvd_scan([(m, depths)], sample) == [[max_tvd(m, d, sample) for d in depths]], m
     phis = default_phase_sample()[::4]  # 1149 phases: five blocks at m = 10
     depths = [7, 1, 10, 3, 3]
-    scan = max_tvd_scan(10, depths, phis)
+    [scan] = max_tvd_scan([(10, depths)], phis)
     assert scan == [max_tvd(10, d, phis) for d in depths]
     # The scan sums each phase's 2^m terms pairwise over the outcome axis,
     # the table row-wise: two pairwise sums, each within m ulps of exact.
@@ -283,7 +283,7 @@ def test_tvd_scan_matches_statevector_every_depth():
     phis = np.concatenate([random_phases(40, 5), grid_phases(16), [1.0 - 2.0**-53, -0.3, 2.625]])
     for m in range(1, 9):
         full = _statevector_distributions(phis, m, m)
-        for d, (worst, arg) in zip(range(1, m + 1), max_tvd_scan(m, range(1, m + 1), phis)):
+        for d, (worst, arg) in zip(range(1, m + 1), max_tvd_scan([(m, range(1, m + 1))], phis)[0]):
             tv = 0.5 * np.abs(full - _statevector_distributions(phis, m, d)).sum(axis=1)
             assert abs(worst - tv.max()) <= 1e-12, (m, d)
             assert arg in phis and abs(tv[list(phis).index(arg)] - worst) <= 1e-12, (m, d)
@@ -360,11 +360,11 @@ def test_invalid_depth_is_rejected_before_any_table(depths, monkeypatch):
         raise AssertionError("a table was built")
     monkeypatch.setattr(qpe, "_fill", no_table)
     with pytest.raises(ValueError):
-        max_tvd_scan(6, depths, default_phase_sample())
+        max_tvd_scan([(6, depths)], default_phase_sample())
 
 
 @pytest.mark.parametrize("call", [
-    lambda: max_tvd_scan(SCAN_MAX_QUBITS + 1, [2, 0], default_phase_sample()),
+    lambda: max_tvd_scan([(SCAN_MAX_QUBITS + 1, [2, 0])], default_phase_sample()),
     lambda: max_tvd(SCAN_MAX_QUBITS + 1, 2.5, default_phase_sample()),
     lambda: mean_success_probability(default_phase_sample(), SCAN_MAX_QUBITS + 1,
                                      SCAN_MAX_QUBITS + 2),
@@ -382,7 +382,7 @@ def test_invalid_depth_with_over_cap_register_builds_no_table(call, monkeypatch)
 @pytest.mark.parametrize("call,cap", [
     (lambda m: phase_distribution(0.3, m, m), DIST_MAX_QUBITS),
     (lambda m: closed_form_full_distribution(0.3, m), DIST_MAX_QUBITS),
-    (lambda m: max_tvd_scan(m, [m - 1], [0.3]), SCAN_MAX_QUBITS),
+    (lambda m: max_tvd_scan([(m, [m - 1])], [0.3]), SCAN_MAX_QUBITS),
     (lambda m: mean_success_probability([0.3], m, m), SCAN_MAX_QUBITS),
 ], ids=["phase_distribution", "closed_form", "max_tvd_scan", "mean_success"])
 def test_register_cap_is_inclusive_and_named(call, cap):
@@ -397,7 +397,7 @@ def test_sample_scans_hold_no_full_table():
     36 MiB; the streamed scans stay within a few row blocks."""
     sample = default_phase_sample()
     for scan in (lambda: max_tvd(10, 10, sample), lambda: max_tvd(10, 1, sample),
-                 lambda: max_tvd_scan(10, range(1, 11), sample),
+                 lambda: max_tvd_scan([(10, range(1, 11))], sample),
                  lambda: mean_success_probability(sample, 10, 10)):
         tracemalloc.start()
         try:
@@ -502,7 +502,7 @@ def test_class_scans_equal_an_exhaustive_per_phase_scan(m, data):
     phases = data.draw(_class_samples(m), label="phases")
     depths = data.draw(st.one_of(st.just([m]), st.lists(st.integers(1, m), min_size=1,
                                                         max_size=4)), label="depths")
-    for d, (value, arg) in zip(depths, max_tvd_scan(m, depths, phases)):
+    for d, (value, arg) in zip(depths, max_tvd_scan([(m, depths)], phases)[0]):
         per_phase = [max_tvd(m, d, [phi])[0] for phi in phases]
         assert abs(value - max(per_phase)) <= 1e-15, d
         # The first sample phase of the earliest maximising class, as given.
@@ -512,8 +512,46 @@ def test_class_scans_equal_an_exhaustive_per_phase_scan(m, data):
         assert abs(exact - np.mean([success_probability(phi, m, d) for phi in phases])) <= 1e-15, d
 
 
-def test_a_single_phase_and_full_depth_only_scans():
-    assert max_tvd_scan(6, [6], [2.7, 0.7, 0.2]) == [(0.0, 2.7)]
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(data=st.data())
+def test_a_sweep_equals_one_depth_calls(data):
+    """One class structure for every m of a sweep: repeated m, depths
+    unsorted, repeated or equal to m, and an m with no depth at all."""
+    ms = data.draw(st.lists(st.integers(1, 8), min_size=1, max_size=4), label="ms")
+    sweep = [(m, data.draw(st.lists(st.integers(1, m), max_size=4), label="depths"))
+             for m in ms]
+    phases = data.draw(_class_samples(max(ms)), label="phases")
+    scans = max_tvd_scan(sweep, phases)
+    assert scans == [[max_tvd(m, d, phases) for d in depths] for m, depths in sweep]
+    for (m, depths), scan in zip(sweep, scans):
+        for d, (value, arg) in zip(depths, scan):
+            # Each class's value is its first phase's one-phase TV; the
+            # argmax is the caller's first phase of the earliest maximising class.
+            reps, _ = _classes(phases, d)
+            per_class = {i: max_tvd(m, d, [phases[i]])[0] for i in reps}
+            assert value == max(per_class.values()), (m, d)
+            assert arg == phases[min(i for i, tv in per_class.items() if tv == value)], (m, d)
+
+
+def test_a_tie_goes_to_the_earliest_class_in_the_sample(monkeypatch):
+    """Exact ties between classes hardly arise in floats, so a fake table
+    gives TV 1 to every phase but 0.125. Depth 1's classes start at 0.125,
+    0.375 and 0.25; 0.375 shares depth 2's class of 0.125, so prefix order
+    puts 0.25 before it."""
+    def tied_fill(batch, m, d, *_):
+        table = np.zeros((1 << m, len(batch)))
+        if d < m:
+            table[0] = np.where(batch == 0.125, 0.0, 2.0)
+        return table
+    monkeypatch.setattr(qpe, "_fill", tied_fill)
+    scan = max_tvd_scan([(4, [1, 2])], [0.125, 0.375, 0.625, 0.25])
+    assert scan == [[(1.0, 0.375), (1.0, 0.25)]]
+
+
+def test_a_single_phase_and_full_depth_only_scans(monkeypatch):
+    with monkeypatch.context() as patch:  # d = m rows and an m without rows build no table
+        patch.setattr(qpe, "_fill", None)
+        assert max_tvd_scan([(6, [6]), (4, [])], [2.7, 0.7, 0.2]) == [[(0.0, 2.7)], []]
     for d in range(1, 7):
         value, arg = max_tvd(6, d, [-1.3])
         assert arg == -1.3 and value == max_tvd(6, d, [0.7])[0]
@@ -540,6 +578,22 @@ def test_scans_fill_one_column_per_residue_class(monkeypatch):
     columns.clear()
     mean_success_probability(sample, 10, 3, 1, SplitMix64(1))
     assert columns == {3: len(sample)}  # sampled mode keeps one row per phase
+    # A sweep fills the reference over depth 1's classes, and each depth
+    # only over its own: 500 seeded phases plus 2^(12-d) grid classes.
+    columns.clear()
+    max_tvd_scan([(10, range(1, 11))], sample)
+    assert columns == {10: 2548, **{d: 500 + 2**(12 - d) for d in range(1, 10)}}
+
+
+def test_a_sweep_builds_its_class_structure_once(monkeypatch):
+    representatives, calls = qpe._representatives, []
+
+    def counting(phis, d):
+        calls.append(d)
+        return representatives(phis, d)
+    monkeypatch.setattr(qpe, "_representatives", counting)
+    max_tvd_scan([(4, range(1, 5)), (5, range(1, 6)), (6, range(1, 7))], default_phase_sample())
+    assert sorted(calls) == [1, 2, 3, 4, 5]  # once per truncated depth, not once per m
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
@@ -661,7 +715,7 @@ def test_numpy_integer_counts_are_accepted():
     lambda: phase_distributions(0.3, 3, 2),
     lambda: phase_distributions([[0.1, 0.2], [0.3, 0.4]], 3, 2),
     lambda: max_tvd(4, 2, [[0.1, 0.2], [0.3, 0.4]]),
-    lambda: max_tvd_scan(4, [1, 2], np.zeros((3, 1))),
+    lambda: max_tvd_scan([(4, [1, 2])], np.zeros((3, 1))),
     lambda: mean_success_probability([[0.1, 0.2]], 4, 2),
     lambda: mean_success_probability(np.float64(0.3), 4, 2, 5, SplitMix64(1)),
 ], ids=["scalar", "distributions", "max_tvd", "scan", "success", "sampled"])
