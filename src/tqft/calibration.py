@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
@@ -26,16 +25,16 @@ from .circuits import check_depth, check_int, gate_count
 DEFAULT_NOISE_CONSTANT = 0.033  # calibrated against 16-qubit runs at eps_2q = 1e-3
 
 
-@dataclass(frozen=True)
-class PlatformCalibration:
+class PlatformCalibration(NamedTuple("PlatformCalibration", [("name", str), ("eps_2q", float)])):
     """A named device and its two-qubit depolarizing error rate per gate."""
 
-    name: str
-    eps_2q: float
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
-    def __post_init__(self):
-        if not 0.0 < self.eps_2q < 1.0:
-            raise ValueError(f"two-qubit error rate must lie in (0, 1), got {self.eps_2q}")
+    def __new__(cls, name: str, eps_2q: float):
+        if not 0.0 < eps_2q < 1.0:
+            raise ValueError(f"two-qubit error rate must lie in (0, 1), got {eps_2q}")
+        return super().__new__(cls, name, eps_2q)
 
 
 DEFAULT_PLATFORMS: tuple[PlatformCalibration, ...] = (

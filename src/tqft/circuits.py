@@ -25,7 +25,6 @@ against apply_plan_to_array and the dense unitaries here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -64,15 +63,15 @@ def gate_count(m: int, d: int) -> int:
     return (m - d + 1) * (d - 1) + (d - 1) * (d - 2) // 2
 
 
-@dataclass(frozen=True)
-class CircuitPlan:
+class CircuitPlan(NamedTuple("CircuitPlan", [("m", int), ("d", int)])):
     """The depth-d truncated QFT on m qubits; its gate list follows from (m, d)."""
 
-    m: int
-    d: int
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
-    def __post_init__(self):
-        check_depth(self.m, self.d)
+    def __new__(cls, m: int, d: int):
+        check_depth(m, d)
+        return super().__new__(cls, m, d)
 
     @property
     def gates(self) -> tuple[GateOp, ...]:

@@ -19,10 +19,11 @@ a --grid point uniform grid; either count may be 0, but not both.
 `cliff --shots N` adds a sampled success column: N outcomes drawn from each
 phase's distribution and scored on the same window as the exact column.
 
-Exit codes: 0 success; 1 a flag value or input file that a check
-rejects (bad syntax, a value outside the domain of the study, a size
-beyond a cap); 2 a numerical failure or an unreadable file; 3 bound
-violation (returned when a measured TVD exceeds the truncation bound).
+Exit codes: 0 success; 1 a flag or input file that the parser or a check
+rejects (an unknown flag, bad syntax, a value outside the domain of the
+study, a size beyond a cap); 2 a numerical failure or an unreadable file;
+3 bound violation (returned when a measured TVD exceeds the truncation
+bound). Exits 1 and 2 print one JSON line on stderr that names the error.
 """
 
 from __future__ import annotations
@@ -70,16 +71,14 @@ MAX_DRAWS = 10**9
 
 
 class UsageError(ValueError):
-    """Bad flag values discovered after parsing that no library call checks."""
+    """A flag the parser rejects, or a bad flag value that no library call checks."""
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits with status 2 on bad flags; the contract here is 1."""
+    """argparse exits with status 2 on bad flags; here a bad flag is a UsageError."""
 
     def error(self, message):
-        self.print_usage(sys.stderr)
-        sys.stderr.write(f"{self.prog}: error: {message}\n")
-        raise SystemExit(EXIT_USAGE)
+        raise UsageError(f"{self.prog}: {message}")
 
 
 # ---------------------------------------------------------------------------
@@ -545,14 +544,14 @@ def build_parser() -> _Parser:
 
 
 def run(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    started = time.perf_counter()
     try:
+        args = build_parser().parse_args(argv)
+        started = time.perf_counter()
         code = args.func(args)
     except ValueError as exc:
-        # Every ValueError a subcommand can reach rejects a flag value or the
-        # contents of an input file; a computed value that fails its check
-        # surfaces as an ArithmeticError instead.
+        # Every ValueError the parser or a subcommand can reach rejects a flag,
+        # its value or the contents of an input file; a computed value that
+        # fails its check surfaces as an ArithmeticError instead.
         print(json.dumps({"error": "UsageError", "message": str(exc)}), file=sys.stderr)
         return EXIT_USAGE
     except (ArithmeticError, OSError) as exc:

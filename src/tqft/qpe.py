@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -94,18 +94,17 @@ BLOCK_ENTRIES = 1 << 18
 SUCCESS_FLOOR = 8.0 / math.pi**2
 
 
-@dataclass(frozen=True)
-class PhaseDistribution:
+class PhaseDistribution(NamedTuple("PhaseDistribution", [("m", int), ("probs", np.ndarray)])):
     """Probability mass over the 2^m measurement outcomes."""
 
-    m: int
-    probs: np.ndarray = field(repr=False)
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
-    def __post_init__(self):
-        object.__setattr__(self, "m", check_int("register size m", self.m, 1))
-        p = np.ascontiguousarray(self.probs, dtype=np.float64)
-        if p.shape != (1 << self.m,):
-            raise ValueError(f"expected {1 << self.m} outcome probabilities, got {p.shape}")
+    def __new__(cls, m: int, probs: np.ndarray):
+        m = check_int("register size m", m, 1)
+        p = np.ascontiguousarray(probs, dtype=np.float64)
+        if p.shape != (1 << m,):
+            raise ValueError(f"expected {1 << m} outcome probabilities, got {p.shape}")
         # Written so that a NaN entry, which fails every comparison, fails too.
         if not (p.min() >= 0.0 and p.max() <= 1.0 + 1e-12):
             raise ValueError("probabilities outside [0, 1]")
@@ -113,7 +112,7 @@ class PhaseDistribution:
         if not abs(total - 1.0) <= 1e-10:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
         p.setflags(write=False)
-        object.__setattr__(self, "probs", p)
+        return super().__new__(cls, m, p)
 
     @property
     def dim(self) -> int:

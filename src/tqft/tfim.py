@@ -29,7 +29,6 @@ that need a generic target use an off-grid excited state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -54,27 +53,26 @@ MAX_SITES = 16
 MAX_ENERGY = 2.0**1000
 
 
-@dataclass(frozen=True)
-class TfimSpec:
+class TfimSpec(NamedTuple("TfimSpec", [("n", int), ("j", float), ("h", float)])):
     """Open transverse-field Ising chain: n sites, coupling J, field h."""
 
-    n: int
-    j: float = 1.0
-    h: float = 0.5
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
-    def __post_init__(self):
-        object.__setattr__(self, "n", check_int("site count n", self.n, 2))
-        if not np.isfinite([self.j, self.h]).all():
-            raise ValueError(f"coupling and field must be finite, got J={self.j}, h={self.h}")
-        if self.n > MAX_SITES:
+    def __new__(cls, n: int, j: float = 1.0, h: float = 0.5):
+        n = check_int("site count n", n, 2)
+        if not np.isfinite([j, h]).all():
+            raise ValueError(f"coupling and field must be finite, got J={j}, h={h}")
+        if n > MAX_SITES:
             raise ValueError(f"the chain is capped at {MAX_SITES} sites ({1 << MAX_SITES} "
                              f"levels), which fits a 1 s budget for a spectrum or a "
-                             f"trial (tfim --n 16 --m 12: about 5 ms), got {self.n}")
+                             f"trial (tfim --n 16 --m 12: about 5 ms), got {n}")
         # Python floats, so a sum past the float limit is inf, without a warning.
-        energy = self.n * (abs(float(self.j)) + abs(float(self.h)))
+        energy = n * (abs(float(j)) + abs(float(h)))
         if not energy <= MAX_ENERGY:
             raise ValueError(f"n*(|J|+|h|) is capped at 2^1000 so that the energy scale "
-                             f"stays finite, got {energy} (n={self.n}, J={self.j}, h={self.h})")
+                             f"stays finite, got {energy} (n={n}, J={j}, h={h})")
+        return super().__new__(cls, n, j, h)
 
     @property
     def dim(self) -> int:

@@ -154,22 +154,34 @@ def test_tvd_over_cap_register_builds_no_table(monkeypatch, tmp_path, capsys):
 
 
 def test_usage_error_exit_codes(tmp_path, capsys):
-    # argparse-level: missing required flag
-    with pytest.raises(SystemExit) as info:
-        main(["tvd"])
-    assert info.value.code == 1
-    with pytest.raises(SystemExit) as info:
-        main(["nosuchcommand"])
-    assert info.value.code == 1
-    with pytest.raises(SystemExit) as info:
-        main(["tfim", "--m", "8", "--d", "abc"])
-    assert info.value.code == 1
+    # argparse-level: missing required flag, unknown flag, unknown
+    # subcommand, bad int; each is one JSON line naming the parser
+    for argv, message in [
+            (["tvd"], "tqft tvd: the following arguments are required: --m"),
+            (["tvd", "--m", "4", "--bogus", "1"], "tqft: unrecognized arguments: --bogus 1"),
+            (["nosuchcommand"], "tqft: argument subcommand: invalid choice: 'nosuchcommand'"),
+            (["tvd", "--m", "4", "--phases", "x"], "tqft tvd: argument --phases: invalid int"),
+            (["tfim", "--m", "8", "--d", "abc"], "tqft tfim: argument --d: invalid int")]:
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        [line] = captured.err.splitlines()
+        error = json.loads(line)
+        assert error["error"] == "UsageError" and error["message"].startswith(message)
+        assert captured.out == ""
     # post-parse validation
     assert main(["tvd", "--m", "99", "--d", "all"]) == 1
     assert main(["tvd", "--m", "4", "--d", "all", "--phases", "0", "--grid", "0"]) == 1
     assert main(["rmse", "--m", "8", "--d", "9"]) == 1
     err = capsys.readouterr().err
     assert "UsageError" in err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"], ["tvd", "--help"]])
+def test_help_and_version_exit_zero(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 0
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("argv", [
