@@ -159,8 +159,7 @@ class PlatformRow(NamedTuple):
     clamped: bool  # True when depth exceeded m and the full circuit is used
 
 
-def platform_report(m: int, platforms: tuple[PlatformCalibration, ...] | None = None
-                    ) -> list[PlatformRow]:
+def platform_report(m: int, platforms: tuple[PlatformCalibration, ...]) -> list[PlatformRow]:
     """Gate budgets per platform: depth, retained/full counts, reduction.
 
     Platforms whose calibrated depth exceeds m fall back to the full
@@ -168,7 +167,7 @@ def platform_report(m: int, platforms: tuple[PlatformCalibration, ...] | None = 
     """
     m = check_int("register size m", m, 2)
     rows = []
-    for plat in platforms if platforms is not None else DEFAULT_PLATFORMS:
+    for plat in platforms:
         depth = optimal_depth(plat.eps_2q)
         clamped = depth > m
         if clamped:

@@ -159,13 +159,13 @@ def full_qft_matrix(m: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.outer(y, y) / n) / math.sqrt(n)
 
 
-def plan_unitary(plan: CircuitPlan, inverse: bool = False) -> np.ndarray:
+def plan_unitary(plan: CircuitPlan) -> np.ndarray:
     """Dense unitary realized by a plan, built column-by-column (m <= 8)."""
     if plan.m > 8:
         raise ValueError(f"dense plan unitary is limited to m <= 8 (got {plan.m})")
     n = 1 << plan.m
     basis = np.eye(n, dtype=np.complex128)  # row x is the basis state |x>
-    apply_plan_to_array(basis, plan, inverse=inverse)
+    apply_plan_to_array(basis, plan)
     return basis.T.copy()
 
 

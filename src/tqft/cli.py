@@ -200,7 +200,7 @@ def _cell(value) -> str:
 
 def _render(args, rows: list[dict]) -> str:
     """The artifact text; its columns are the keys of the first row."""
-    skip = {"func", "out", "format", "out_dir"}
+    skip = {"func", "out", "format"}
     config = {k: v for k, v in sorted(vars(args).items()) if k not in skip}
     columns = list(rows[0])
     if args.format == "json":

@@ -102,7 +102,7 @@ class PhaseDistribution(NamedTuple("PhaseDistribution", [("m", int), ("probs", n
 
     def __new__(cls, m: int, probs: np.ndarray):
         m = check_int("register size m", m, 1)
-        p = np.ascontiguousarray(probs, dtype=np.float64)
+        p = np.array(probs, dtype=np.float64)  # a copy: the caller's array stays writable
         if p.shape != (1 << m,):
             raise ValueError(f"expected {1 << m} outcome probabilities, got {p.shape}")
         # Written so that a NaN entry, which fails every comparison, fails too.
@@ -187,28 +187,28 @@ def _representatives(phis: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
     return first[order], sizes[order]
 
 
-def _fill(batch: np.ndarray, m: int, d: int, weights=None, out=None) -> np.ndarray:
+def _fill(batch: np.ndarray, m: int, d: int, weights, out: np.ndarray) -> np.ndarray:
     """The depth-d table of `batch` (phases in [0, 1)): 2^m rows, one column
     per phase, outcome 2^m - 1 - r in row r.
 
     Phase-minor, so every stage operation is one contiguous loop over the
     phases, however small m is. Filled in place into the contiguous prefix
     of `out`, a float64 buffer of at least 2^m * len(batch) entries that the
-    caller owns and may reuse for every block (a fresh one when None); the
-    table returned is a view of it. Built bit by bit from the least
-    significant outcome bit up: stage j multiplies the rows so far (bits
-    y_(j+1)..y_(m-1)) by the cos^2 factor of qubit j, which depends on the
-    top k = min(d, m-j) bits of y_j..y_(m-1), into the next rows, and
-    subtracts that product in place, leaving the sin^2 half (w <= 1 makes
-    it >= 0). The y_j = 1 half thus comes first, which complements the row
-    order. The callers un-reverse it: phase_distributions and the sampled
-    success path read a [::-1] view, exact success reads row 2^m - 1 - y,
-    and the TVD halving tree adds the same pairs in either order. Given all
-    depth-m `weights`, depth k takes every 2^(m-j-k)-th row of stage j's.
+    caller owns and may reuse for every block; the table returned is a view
+    of it. Built bit by bit from the least significant outcome bit up:
+    stage j multiplies the rows so far (bits y_(j+1)..y_(m-1)) by the cos^2
+    factor of qubit j, which depends on the top k = min(d, m-j) bits of
+    y_j..y_(m-1), into the next rows, and subtracts that product in place,
+    leaving the sin^2 half (w <= 1 makes it >= 0). The y_j = 1 half thus
+    comes first, which complements the row order. The callers un-reverse
+    it: phase_distributions and the sampled success path read a [::-1]
+    view, exact success reads row 2^m - 1 - y, and the TVD halving tree
+    adds the same pairs in either order. Given all depth-m `weights`, depth
+    k takes every 2^(m-j-k)-th row of stage j's; with None, each stage
+    computes its own.
     """
     cols, size = len(batch), (1 << m) * len(batch)
-    buf = np.empty(size) if out is None else out.reshape(-1)[:size]
-    buf = buf.reshape(1 << m, cols)
+    buf = out.reshape(-1)[:size].reshape(1 << m, cols)
     buf[0] = 1.0
     for j in range(m - 1, -1, -1):
         k = min(d, m - j)

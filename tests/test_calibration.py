@@ -185,7 +185,7 @@ def test_default_platform_registry():
 
 
 def test_platform_report_reference_rows():
-    rows = {row.name: row for row in platform_report(30)}
+    rows = {row.name: row for row in platform_report(30, DEFAULT_PLATFORMS)}
     assert (rows["IBM Eagle r3"].depth, rows["IBM Eagle r3"].gates_truncated) == (11, 245)
     assert (rows["IBM Heron r2"].depth, rows["IBM Heron r2"].gates_truncated) == (13, 282)
     assert (rows["IonQ Aria"].depth, rows["IonQ Aria"].gates_truncated) == (14, 299)
@@ -197,13 +197,13 @@ def test_platform_report_reference_rows():
 
 
 def test_platform_report_clamps_small_registers():
-    rows = {row.name: row for row in platform_report(12)}
+    rows = {row.name: row for row in platform_report(12, DEFAULT_PLATFORMS)}
     assert rows["IBM Heron r2"].clamped and rows["IBM Heron r2"].depth == 12
     assert rows["IonQ Aria"].clamped and rows["IonQ Aria"].depth == 12
     assert not rows["IBM Eagle r3"].clamped
     assert rows["IBM Heron r2"].reduction == 0.0
     with pytest.raises(ValueError):
-        platform_report(1)
+        platform_report(1, DEFAULT_PLATFORMS)
 
 
 def test_load_platforms_roundtrip(tmp_path):

@@ -3,8 +3,8 @@ import re
 import numpy as np
 import pytest
 
-from tqft.calibration import (cliff_depth, crossover_error_rate, error_budget,
-                              platform_report, tvd_bound)
+from tqft.calibration import (DEFAULT_PLATFORMS, cliff_depth, crossover_error_rate,
+                              error_budget, platform_report, tvd_bound)
 from tqft.circuits import (
     BIT_REVERSAL,
     CONTROLLED_PHASE,
@@ -116,7 +116,7 @@ _SIZE_AND_DEPTH_CALLS = {
     "crossover_error_rate": (crossover_error_rate, True),
     "max_tvd": (lambda m, d: max_tvd(m, d, [0.1, 0.3]), True),
     "phase_distributions": (lambda m, d: phase_distributions(np.array([0.1]), m, d), True),
-    "platform_report": (lambda m, _d: platform_report(m), False),
+    "platform_report": (lambda m, _d: platform_report(m, DEFAULT_PLATFORMS), False),
     "cliff_depth": (lambda m, _d: cliff_depth(m), False),
     "check_depth": (check_depth, True),
 }
@@ -169,9 +169,9 @@ def test_full_plan_unitary_matches_dft(m):
 
 def test_plan_unitary_inverse():
     plan = plan_truncated_qft(4, 3)
-    u = plan_unitary(plan)
-    u_inv = plan_unitary(plan, inverse=True)
-    assert np.max(np.abs(u_inv @ u - np.eye(16))) < 1e-12
+    columns = plan_unitary(plan).T.copy()  # row x is U|x>
+    apply_plan_to_array(columns, plan, inverse=True)  # row x becomes U^-1 U|x>
+    assert np.max(np.abs(columns - np.eye(16))) < 1e-12
 
 
 def _applied(amps, plan, inverse=False):

@@ -113,7 +113,7 @@ def test_empty_phase_sample_is_a_bad_argument():
 def test_sampled_row_failing_its_check_is_a_numerical_failure(monkeypatch):
     exact = qpe._fill
     monkeypatch.setattr(qpe, "_fill",
-                        lambda phis, m, d, *_: np.full_like(exact(phis, m, d), math.nan))
+                        lambda phis, m, d, *args: np.full_like(exact(phis, m, d, *args), math.nan))
     with pytest.raises(ArithmeticError):
         mean_success_probability([0.3], 4, 4, 10, SplitMix64(1))
 
@@ -208,13 +208,18 @@ def test_per_phase_tvd_is_within_2m_ulps_of_the_exact_sum(m, data):
     assert abs(value - exact) <= 2 * m * math.ulp(exact), (value, exact)
 
 
+def _fresh_fill(phis, m, d, weights=None):
+    """qpe._fill into a buffer of its own."""
+    return qpe._fill(phis, m, d, weights, np.empty((1 << m, len(phis))))
+
+
 def test_shared_full_depth_weights_give_the_same_floats():
     phis = np.concatenate([random_phases(40, 3), grid_phases(16), [1.0 - 2.0**-53]])
     for m in range(1, 10):
         weights = [qpe._stage_weights(phis, j, m - j) for j in range(m)]
         for d in range(1, m + 1):
-            own = qpe._fill(phis, m, d)
-            shared = qpe._fill(phis, m, d, weights)
+            own = _fresh_fill(phis, m, d)
+            shared = _fresh_fill(phis, m, d, weights)
             assert np.array_equal(own, shared), (m, d)
             assert np.array_equal(own[::-1].T, phase_distributions(phis, m, d)), (m, d)
 
@@ -266,14 +271,14 @@ def test_fill_into_a_reused_poisoned_buffer_equals_a_fresh_one():
                 buf.fill(math.nan)
                 table = qpe._fill(batch, m, d, shared, buf)
                 assert np.shares_memory(table, buf), (m, d)
-                assert np.array_equal(table, qpe._fill(batch, m, d)), (m, d, len(batch))
+                assert np.array_equal(table, _fresh_fill(batch, m, d)), (m, d, len(batch))
 
 
 def test_fill_row_r_holds_outcome_complement():
     phis = np.concatenate([random_phases(9, 6), EDGE_PHASES, [-0.3, 2.625]])
     for m in (1, 2, 5, 9):
         for d in sorted({1, m // 2 or 1, m}):
-            table = qpe._fill(phis % 1.0, m, d)
+            table = _fresh_fill(phis % 1.0, m, d)
             probs = phase_distributions(phis, m, d)
             for r in range(1 << m):
                 assert np.array_equal(table[r], probs[:, (1 << m) - 1 - r]), (m, d, r)

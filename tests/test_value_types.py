@@ -104,6 +104,19 @@ def test_every_path_normalises():
         assert dist.probs is not probs
 
 
+def test_phase_distribution_leaves_the_callers_array_writable():
+    # float64 and contiguous: the input a no-copy conversion would hand back as is.
+    probs = np.full(4, 0.25)
+    unchecked = tuple.__new__(PhaseDistribution, (2, probs))
+    for dist in (PhaseDistribution(2, probs), PhaseDistribution._make((2, probs)),
+                 PhaseDistribution(2, [1.0, 0.0, 0.0, 0.0])._replace(probs=probs),
+                 *(rebuild(unchecked) for rebuild in REBUILDS)):
+        assert dist.probs is not probs and not np.shares_memory(dist.probs, probs)
+        probs[0] = 1.0  # the caller's array stays writable ...
+        assert dist.probs[0] == 0.25  # ... and writing it leaves the distribution alone
+        probs[0] = 0.25
+
+
 def test_fields_defaults_and_repr():
     assert [case[0]._fields for case in CASES] == [
         ("n", "j", "h"), ("name", "eps_2q"), ("m", "d"), ("m", "probs")]
