@@ -129,10 +129,7 @@ def phase_distribution(phi: float, m: int, d: int) -> PhaseDistribution:
     A computed row that fails the PhaseDistribution check is a numerical
     failure, not a bad argument, so it is raised as ArithmeticError.
     """
-    return _checked(phase_distributions(np.array([float(phi)]), m, d)[0], m, d)
-
-
-def _checked(probs: np.ndarray, m: int, d: int) -> PhaseDistribution:
+    probs = phase_distributions(np.array([float(phi)]), m, d)[0]
     try:
         return PhaseDistribution(m, probs)
     except ValueError as exc:
@@ -201,11 +198,10 @@ def _fill(batch: np.ndarray, m: int, d: int, weights, out: np.ndarray) -> np.nda
     y_j..y_(m-1), into the next rows, and subtracts that product in place,
     leaving the sin^2 half (w <= 1 makes it >= 0). The y_j = 1 half thus
     comes first, which complements the row order. The callers un-reverse
-    it: phase_distributions and the sampled success path read a [::-1]
-    view, exact success reads row 2^m - 1 - y, and the TVD halving tree
-    adds the same pairs in either order. Given all depth-m `weights`, depth
-    k takes every 2^(m-j-k)-th row of stage j's; with None, each stage
-    computes its own.
+    it: phase_distributions reads a [::-1] view, the success window reads
+    row 2^m - 1 - y, and the TVD halving tree adds the same pairs in
+    either order. Given all depth-m `weights`, depth k takes every
+    2^(m-j-k)-th row of stage j's; with None, each stage computes its own.
     """
     cols, size = len(batch), (1 << m) * len(batch)
     buf = out.reshape(-1)[:size].reshape(1 << m, cols)
@@ -381,22 +377,20 @@ def mean_success_probability(phis: np.ndarray, m: int, d: int, shots: int | None
                              rng: SplitMix64 | None = None) -> float:
     """Success probability averaged over a phase sample.
 
-    The success window is the outcomes within circular distance 2^-m of
-    phi; only the candidates floor(phi*N)-1 .. floor(phi*N)+2 (mod N) can
-    be that close, so only they are tested. Exact mode (shots=None)
-    evaluates one phase per residue class mod 2^-d, its first in the sample,
-    since the success probability has period 2^-d (module docstring): it
-    gathers their probabilities from the (2^m, phases) block, sums each
-    window in ascending outcome order, and weights each sum by its class's
-    phase count over the sample length. Sampled mode draws `shots` outcomes
-    with `rng` from each phase's row of the same block, transposed once so
-    each row is contiguous, and reports the success fraction over all
-    draws, which fluctuates binomially around the exact value; it keeps
-    one row, and one stretch of the rng stream, per phase. A sampled
-    row that fails the PhaseDistribution check is raised as
-    ArithmeticError. The sample is scored one block at a time, in one
-    buffer reused for every block, so no (phases, 2^m) table of the whole
-    sample is held.
+    A phase's success probability p(phi) is the sum of its window, the
+    outcomes within circular distance 2^-m of phi. Only the candidates
+    floor(phi*N)-1 .. floor(phi*N)+2 (mod N) can be that close, so one
+    block loop gathers just their probabilities from each (2^m, phases)
+    block, in one buffer reused for every block, and sums each window in
+    ascending outcome order. A p that is not finite or lies outside [0, 1]
+    is raised as ArithmeticError. Exact mode (shots=None) scores one phase
+    per residue class mod 2^-d, its first in the sample, since p has period
+    2^-d (module docstring), and weights each class's p by its phase count
+    over the sample length. Sampled mode scores every phase. A shot drawn
+    from the outcome distribution lands in the window with probability
+    p(phi), independently of the other shots, so a phase's success count
+    is Binomial(shots, p(phi)); it is drawn as the count of `shots` uniforms
+    u < p(phi), one stretch of the `rng` stream per phase, in sample order.
     """
     if shots is not None and rng is None:
         raise ValueError(f"sampled mode (shots={shots}) needs a generator rng, got None")
@@ -411,24 +405,22 @@ def mean_success_probability(phis: np.ndarray, m: int, d: int, shots: int | None
     n_out, cols = 1 << m, min(len(phis), max(1, BLOCK_ENTRIES >> m))
     offsets = np.arange(-1, min(4, n_out) - 1)[:, None]  # 2 at m = 1: no outcome twice
     buf = np.empty((n_out, cols))  # reused by every block
-    sums, hits = [], 0
+    sums = []
     for start in range(0, len(phis), cols):
         batch = phis[start:start + cols]
         cells = np.floor(batch * n_out).astype(np.int64)
         candidates = np.sort((cells + offsets) % n_out, axis=0)
         inside = circular_distance_array(batch, candidates / n_out) <= 2.0**-m
-        table = _fill(batch, m, d, None, buf)
-        if shots is None:
-            probs = np.take_along_axis(table, n_out - 1 - candidates, axis=0)
-            sums.append(np.where(inside, probs, 0.0).sum(axis=0))
-            continue
-        # Row i is phase i's distribution; -1 marks a candidate outside its window.
-        windows = np.where(inside, candidates, -1).T
-        for row, window in zip(np.ascontiguousarray(table[::-1].T), windows):
-            drawn = sample_outcomes(_checked(row, m, d), shots, rng)
-            hits += int(np.count_nonzero(drawn[:, None] == window))
+        probs = np.take_along_axis(_fill(batch, m, d, None, buf), n_out - 1 - candidates, axis=0)
+        sums.append(np.where(inside, probs, 0.0).sum(axis=0))
+    p = np.concatenate(sums)
+    # Written so that a NaN, which fails every comparison, fails too.
+    if not (p.min() >= 0.0 and p.max() <= 1.0 + 1e-12):
+        raise ArithmeticError(f"computed success probability for m={m} d={d} "
+                              "lies outside [0, 1] or is not finite")
     if shots is None:
-        return float((sizes * np.concatenate(sums)).sum() / count)
+        return float((sizes * p).sum() / count)
+    hits = sum(int(np.count_nonzero(rng.random_array(shots) < q)) for q in p)
     return hits / (shots * count)
 
 

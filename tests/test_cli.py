@@ -559,8 +559,8 @@ def test_cliff_sampled_stream_is_pinned(tmp_path):
                  "--shots", "50", "--seed", "3", "--out", str(out)]) == 0
     _, rows = read_artifact(out)
     assert [row["success_sampled"] for row in rows] == [
-        "0.21833333333333332", "0.62333333333333329", "0.83833333333333337",
-        "0.8783333333333333", "0.8666666666666667"]
+        "0.20833333333333334", "0.625", "0.83666666666666667",
+        "0.87666666666666671", "0.87666666666666671"]
 
 
 def test_cliff_draw_cap_refuses_before_any_table(monkeypatch, tmp_path, capsys):

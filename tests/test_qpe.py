@@ -110,12 +110,17 @@ def test_empty_phase_sample_is_a_bad_argument():
         mean_success_probability(empty, 4, 2)
 
 
-def test_sampled_row_failing_its_check_is_a_numerical_failure(monkeypatch):
+@pytest.mark.parametrize("value", [math.nan, math.inf, 0.6, -0.1])
+@pytest.mark.parametrize("shots", [None, 10], ids=["exact", "sampled"])
+def test_bad_success_probability_is_a_numerical_failure(shots, value, monkeypatch):
+    # At phi = 0.3, m = 4 the window holds two outcomes, so 0.6 sums to 1.2.
     exact = qpe._fill
     monkeypatch.setattr(qpe, "_fill",
-                        lambda phis, m, d, *args: np.full_like(exact(phis, m, d, *args), math.nan))
-    with pytest.raises(ArithmeticError):
-        mean_success_probability([0.3], 4, 4, 10, SplitMix64(1))
+                        lambda phis, m, d, *args: np.full_like(exact(phis, m, d, *args), value))
+    rng = SplitMix64(1)
+    with pytest.raises(ArithmeticError, match="m=4 d=4"):
+        mean_success_probability([0.3], 4, 4, shots, rng)
+    assert rng.random() == SplitMix64(1).random()  # raised before any shot was drawn
 
 
 def test_batch_distributions_match_single():
@@ -327,8 +332,7 @@ def test_blocked_success_equals_the_table_reduction():
     assert mean_success_probability(phis, 10, 4) == _class_weighted_mean(sums, phis, 4)
     assert abs(mean_success_probability(phis, 10, 4) - sums.mean()) <= 1e-15
     rng = SplitMix64(5)
-    hits = sum(int(np.count_nonzero(window[i][sample_outcomes(phase_distribution(phi, 10, 4), 7, rng)]))
-               for i, phi in enumerate(phis))
+    hits = sum(int(np.count_nonzero(rng.random_array(7) < sums[i])) for i in range(len(phis)))
     assert mean_success_probability(phis, 10, 4, 7, SplitMix64(5)) == hits / (7 * len(phis))
 
 
@@ -343,9 +347,8 @@ def test_success_window_equals_the_table_reduction_at_every_register_size(m):
         sums = np.where(window, probs, 0.0).sum(axis=1)
         assert mean_success_probability(phis, m, d) == _class_weighted_mean(sums, phis, d), d
         assert abs(mean_success_probability(phis, m, d) - sums.mean()) <= 1e-15, d
-    rng = SplitMix64(m)  # sampled mode at d = m, the last table above
-    hits = sum(int(np.count_nonzero(window[i][sample_outcomes(PhaseDistribution(m, row), 5, rng)]))
-               for i, row in enumerate(probs))
+    rng = SplitMix64(m)  # sampled mode at d = m, the last window sums above
+    hits = sum(int(np.count_nonzero(rng.random_array(5) < sums[i])) for i in range(len(phis)))
     assert mean_success_probability(phis, m, m, 5, SplitMix64(m)) == hits / (5 * len(phis))
 
 
@@ -582,7 +585,7 @@ def test_scans_fill_one_column_per_residue_class(monkeypatch):
         assert columns == {d: classes}, d
     columns.clear()
     mean_success_probability(sample, 10, 3, 1, SplitMix64(1))
-    assert columns == {3: len(sample)}  # sampled mode keeps one row per phase
+    assert columns == {3: len(sample)}  # sampled mode evaluates every phase
     # A sweep fills the reference over depth 1's classes, and each depth
     # only over its own: 500 seeded phases plus 2^(12-d) grid classes.
     columns.clear()
@@ -657,6 +660,42 @@ def test_sampled_success_tracks_exact():
     assert abs(sampled - exact) <= 4.0 * sigma
     # same seed, same answer
     assert sampled == mean_success_probability([phi], m, d, shots, SplitMix64(11))
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_sampled_success_is_binomial_around_exact(m):
+    # Phase i's count is Binomial(shots, p_i), so the total has mean
+    # shots * sum(p_i) = shots * len(phis) * exact and variance
+    # shots * sum(p_i (1 - p_i)) <= shots * len(phis) * exact * (1 - exact).
+    # With that bound, |z| > 5 has a two-sided false-alarm rate below 5.7e-7
+    # per check (normal approximation), below 1e-5 over the 15 checks here.
+    phis, shots = default_phase_sample(m, 40, 32), 500
+    for d in sorted({1, m}):
+        exact = mean_success_probability(phis, m, d)
+        sampled = mean_success_probability(phis, m, d, shots, SplitMix64(100 + m))
+        sigma = math.sqrt(exact * (1.0 - exact) / (shots * len(phis)))
+        assert abs(sampled - exact) <= 5.0 * sigma, (m, d, sampled, exact, sigma)
+
+
+def test_sampled_success_advances_the_stream_by_shots_per_phase():
+    phis, shots = default_phase_sample(2, 30, 64), 9
+    rng = SplitMix64(4)
+    mean_success_probability(phis, 6, 3, shots, rng)
+    fresh = SplitMix64(4)
+    fresh.random_array(shots * len(phis))
+    assert rng.random() == fresh.random()
+
+
+def test_sampled_success_draws_no_outcome(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("sampled success built or sampled an outcome distribution")
+
+    monkeypatch.setattr(qpe, "sample_outcomes", refuse)
+    monkeypatch.setattr(qpe, "PhaseDistribution", refuse)
+    phis = default_phase_sample(1, 20, 16)
+    sampled = mean_success_probability(phis, 6, 2, 10, SplitMix64(1))
+    assert sampled == mean_success_probability(phis, 6, 2, 10, SplitMix64(1))
+    assert 0.0 < sampled <= 1.0
 
 
 def test_sampled_success_needs_a_generator(monkeypatch):
