@@ -115,16 +115,15 @@ def check_depth(m: int, d: int) -> tuple[int, int]:
 APPLY_MAX_QUBITS = 24  # 2^24 complex amplitudes = 256 MiB; the desk-scale ceiling
 
 
-def apply_plan_to_array(amps: np.ndarray, plan: CircuitPlan, inverse: bool = False) -> None:
+def apply_plan_to_array(amps: np.ndarray, plan: CircuitPlan) -> None:
     """In-place plan application on an array whose last axis is the state axis.
 
     Leading axes are batch dimensions, so a (batch, 2^m) array runs every
     state through the same plan in one pass. The state axis is viewed, never
     copied, as m length-2 axes, qubit j on the j-th: H mixes the two halves
     of its qubit's axis, CP scales the block where both its qubits read 1,
-    and BITREV reverses the order of the m axes. The inverse direction runs
-    the gates in reverse order with conjugated phase angles (H and BITREV
-    are their own inverses). Each state keeps its norm to machine precision.
+    and BITREV reverses the order of the m axes. Each state keeps its norm
+    to machine precision.
     """
     m = plan.m
     if m > APPLY_MAX_QUBITS:
@@ -132,17 +131,15 @@ def apply_plan_to_array(amps: np.ndarray, plan: CircuitPlan, inverse: bool = Fal
     if amps.shape[-1] != 1 << m:
         raise ValueError(f"last axis must have length {1 << m}, got {amps.shape[-1]}")
     state = amps.reshape(amps.shape[:-1] + (2,) * m)  # qubit j on axis j - m
-    sign = -1.0 if inverse else 1.0
-    for g in reversed(plan.gates) if inverse else plan.gates:
+    for g in plan.gates:
         # Indexing after an Ellipsis gives views, 0-d ones for a single m = 1 state.
         if g.kind == HADAMARD:
             pair = np.moveaxis(state, g.target - m, -1)
             lo, hi = pair[..., 0], pair[..., 1]
             pair[..., 0], pair[..., 1] = (lo + hi) * _INV_SQRT2, (lo - hi) * _INV_SQRT2
         elif g.kind == CONTROLLED_PHASE:
-            angle = sign * g.angle
             block = np.moveaxis(state, (g.control - m, g.target - m), (-2, -1))[..., 1, 1]
-            block *= complex(math.cos(angle), math.sin(angle))
+            block *= complex(math.cos(g.angle), math.sin(g.angle))
         else:
             qubits = range(-m, 0)
             state[...] = np.moveaxis(state, qubits, qubits[::-1]).copy()

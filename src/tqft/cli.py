@@ -67,9 +67,10 @@ EXIT_VIOLATION = 3
 # (2-vCPU Xeon, Python 3.11, numpy 2.4); cost grows linearly with the count.
 MAX_ROWS = 10_000
 # Most shots one `cliff --shots` run may draw (shots x phases x rows). A draw
-# takes about 17 ns at 10^6 shots a phase, plus about 18 us for each phase and
-# row (same machine): `cliff --m 4 --d all --grid 250 --shots 1000000`, at the
-# cap, takes 17 s.
+# takes 10-20 ns (20 at 10^6 shots a phase); each rng call costs about 12 us
+# and draws for whole phases, up to 2^15 draws or one phase; and each phase and
+# row fills a 2^m-entry table column at 4-9 ns an entry (m = 12), same machine.
+# At the cap, `cliff --m 4 --d all --grid 250 --shots 1000000` takes 20 s.
 MAX_DRAWS = 10**9
 
 

@@ -80,13 +80,13 @@ MAX_SHOTS = 1_000_000
 # 1..10)]) / ten max_tvd(10, d) calls / phase_distributions(., 12, 12). The
 # scans evaluate one phase per residue class (2548 phases at d = 1, 1524 at
 # d = 2, ...), at most 10 blocks of 256 phases at m = 10:
-#   2^16: 0.051-0.055 / 0.099-0.109 / 0.25 s
-#   2^17: 0.044-0.048 / 0.076-0.088 / 0.18-0.22 s
-#   2^18: 0.047-0.051 / 0.077-0.092 / 0.17-0.19 s
-#   2^19: 0.052-0.056 / 0.082-0.093 / 0.18-0.19 s
-#   2^20: 0.059-0.064 / 0.097-0.110 / 0.17-0.20 s
-# 2^17 and 2^18 differ by less than the spread between sweeps; a larger
-# block raises peak RSS.
+#   2^16: 0.048-0.061 / 0.093-0.105 / 0.21-0.24 s
+#   2^17: 0.044-0.054 / 0.080-0.105 / 0.17-0.18 s
+#   2^18: 0.048-0.050 / 0.081-0.090 / 0.19-0.21 s
+#   2^19: 0.054-0.060 / 0.105-0.108 / 0.30-0.32 s
+#   2^20: 0.062-0.076 / 0.111-0.114 / 0.34-0.37 s
+# For the scans, 2^17 and 2^18 differ by less than the spread between sweeps;
+# a larger block raises peak RSS. No command gives phase_distributions a sample.
 BLOCK_ENTRIES = 1 << 18
 
 # Probability that phase estimation lands within one grid cell of the true
@@ -140,10 +140,9 @@ def phase_distributions(phis: np.ndarray, m: int, d: int) -> np.ndarray:
     """Outcome probabilities for many eigenphases at once; rows sum to 1.
 
     Fills one (2^m, phases) block of BLOCK_ENTRIES entries at a time, into
-    one buffer reused for every block, and transposes its row-reversed view
-    into the output 512 outcomes at a time (at m = 12 on a 2-vCPU Xeon,
-    10-17 % faster than one strided copy). An empty, non-finite or non-1-D phase
-    array is a bad argument (ValueError).
+    one buffer reused for every block, and copies the transpose of its
+    row-reversed view into the output. An empty, non-finite or non-1-D
+    phase array is a bad argument (ValueError).
     """
     check_depth(m, d)
     phis = _reduced_phases(phis, m, DIST_MAX_QUBITS)
@@ -151,9 +150,7 @@ def phase_distributions(phis: np.ndarray, m: int, d: int) -> np.ndarray:
     cols = min(len(phis), max(1, BLOCK_ENTRIES >> m))
     buf = np.empty((1 << m, cols))
     for start in range(0, len(phis), cols):
-        block = _fill(phis[start:start + cols], m, d, None, buf)[::-1]
-        for y in range(0, 1 << m, 512):
-            out[start:start + cols, y:y + 512] = block[y:y + 512].T
+        out[start:start + cols] = _fill(phis[start:start + cols], m, d, None, buf)[::-1].T
     return out
 
 
@@ -391,6 +388,8 @@ def mean_success_probability(phis: np.ndarray, m: int, d: int, shots: int | None
     p(phi), independently of the other shots, so a phase's success count
     is Binomial(shots, p(phi)); it is drawn as the count of `shots` uniforms
     u < p(phi), one stretch of the `rng` stream per phase, in sample order.
+    One rng call draws for as many whole phases as fit BLOCK_ENTRIES >> 3
+    uniforms, at least one, so a small shot count pays no call per phase.
     """
     if shots is not None and rng is None:
         raise ValueError(f"sampled mode (shots={shots}) needs a generator rng, got None")
@@ -420,7 +419,10 @@ def mean_success_probability(phis: np.ndarray, m: int, d: int, shots: int | None
                               "lies outside [0, 1] or is not finite")
     if shots is None:
         return float((sizes * p).sum() / count)
-    hits = sum(int(np.count_nonzero(rng.random_array(shots) < q)) for q in p)
+    rows, hits = max(1, (BLOCK_ENTRIES >> 3) // shots), 0
+    for q in np.split(p, range(rows, count, rows)):  # no draws held across calls
+        hits += int(np.count_nonzero(rng.random_array(shots * len(q)).reshape(len(q), shots)
+                                     < q[:, None]))
     return hits / (shots * count)
 
 

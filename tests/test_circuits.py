@@ -167,16 +167,28 @@ def test_full_plan_unitary_matches_dft(m):
     assert np.max(np.abs(u - full_qft_matrix(m))) < 1e-12
 
 
-def test_plan_unitary_inverse():
-    plan = plan_truncated_qft(4, 3)
-    columns = plan_unitary(plan).T.copy()  # row x is U|x>
-    apply_plan_to_array(columns, plan, inverse=True)  # row x becomes U^-1 U|x>
-    assert np.max(np.abs(columns - np.eye(16))) < 1e-12
+def test_plan_unitary_is_symmetric_and_unitary():
+    """Every truncated plan's unitary U equals its transpose, so its
+    inverse U^dagger is conj(U): the forward plan on conjugated amplitudes
+    runs the adjoint, as the statevector oracle in test_qpe.py does.
+
+    With x_a the bit of x on qubit a (qubit 0 the most significant), the
+    DFT phase x*y/N is the sum of x_a y_b 2^(m-2-a-b) over all a, b. Terms
+    with a + b <= m - 2 are integers, and a term with a + b = m - 2 + k is
+    the rotation 2*pi/2^k, which depth d keeps for k <= d. So entry (y, x)
+    of U is exp(2*pi*i * sum of x_a y_b 2^(m-2-a-b) over
+    m - 1 <= a + b <= m - 2 + d) / sqrt(N), a condition symmetric in a and
+    b, hence in x and y, at every (m, d)."""
+    for m in range(1, 9):
+        for d in range(1, m + 1):
+            u = plan_unitary(plan_truncated_qft(m, d))
+            assert np.max(np.abs(u - u.T)) <= 1e-14, (m, d)
+            assert np.max(np.abs(u.conj().T @ u - np.eye(1 << m))) <= 1e-13, (m, d)
 
 
-def _applied(amps, plan, inverse=False):
+def _applied(amps, plan):
     out = amps.copy()
-    apply_plan_to_array(out, plan, inverse=inverse)
+    apply_plan_to_array(out, plan)
     assert abs(np.linalg.norm(out) - 1.0) <= 1e-10
     return out
 
@@ -190,6 +202,8 @@ def test_apply_plan_uniform_from_zero():
 
 
 def test_apply_plan_forward_inverse_identity():
+    """U is symmetric and unitary, so U conj(U psi) = U U^dagger conj(psi)
+    = conj(psi): the forward plan between two conjugations undoes it."""
     rng = SplitMix64(314)
     for _ in range(1000):
         m, d, re_seed, im_seed = rng.next_u64_array(4).tolist()
@@ -200,8 +214,8 @@ def test_apply_plan_forward_inverse_identity():
         amps = re + 1j * im
         amps /= np.linalg.norm(amps)
         plan = plan_truncated_qft(m, d)
-        back = _applied(_applied(amps, plan), plan, inverse=True)
-        assert np.max(np.abs(back - amps)) < 1e-12
+        back = _applied(_applied(amps, plan).conj(), plan)
+        assert np.max(np.abs(back - amps.conj())) < 1e-12
 
 
 def test_apply_plan_matches_unitary():

@@ -3,6 +3,9 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -12,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tqft import cli, qpe
+from tqft import __version__, cli, qpe
 from tqft.calibration import cliff_depth, crossover_error_rate, error_budget
 from tqft.circuits import gate_count, plan_truncated_qft, serialize_plan
 from tqft.cli import (
@@ -182,6 +185,21 @@ def test_help_and_version_exit_zero(argv, capsys):
         main(argv)
     assert info.value.code == 0
     assert capsys.readouterr().err == ""
+
+
+def test_python_dash_m_tqft_runs_the_command():
+    """`python -m tqft`, the documented entry point, runs src/tqft/__main__.py
+    in a fresh interpreter and exits with the command's code."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "tqft", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+    version = run("--version")
+    assert (version.returncode, version.stdout) == (0, f"tqft {__version__}\n")
+    gates = run("gates", "--m", "4", "--d", "2")
+    assert gates.returncode == 0, gates.stderr
+    assert gates.stdout.splitlines()[2:] == ["m,d,gates,gates_full,reduction_pct", "4,2,3,6,50"]
 
 
 @pytest.mark.parametrize("argv", [

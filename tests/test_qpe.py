@@ -132,11 +132,14 @@ def test_batch_distributions_match_single():
 
 
 def _statevector_distributions(phis, m, d):
-    """The outcome distributions by running the adjoint plan gate by gate
-    over the kickback states exp(2*pi*i*x*phi) / sqrt(2^m)."""
+    """The outcome distributions of the adjoint plan on the kickback states
+    exp(2*pi*i*x*phi) / sqrt(2^m). Every plan's unitary U is symmetric
+    (test_circuits.py), so U^dagger = conj(U) and |U^dagger psi|^2 =
+    |U conj(psi)|^2: the forward plan runs gate by gate over the conjugate
+    states exp(-2*pi*i*x*phi) / sqrt(2^m)."""
     n = 1 << m
-    amps = np.exp(2j * np.pi * np.outer(np.asarray(phis) % 1.0, np.arange(n))) / math.sqrt(n)
-    apply_plan_to_array(amps, plan_truncated_qft(m, d), inverse=True)
+    amps = np.exp(-2j * np.pi * np.outer(np.asarray(phis) % 1.0, np.arange(n))) / math.sqrt(n)
+    apply_plan_to_array(amps, plan_truncated_qft(m, d))
     return np.abs(amps) ** 2
 
 
@@ -684,6 +687,27 @@ def test_sampled_success_advances_the_stream_by_shots_per_phase():
     fresh = SplitMix64(4)
     fresh.random_array(shots * len(phis))
     assert rng.random() == fresh.random()
+
+
+@pytest.mark.parametrize("shots", [1, 7, 333, 1000, 40_000])
+def test_sampled_success_draws_in_chunks_as_one_call_per_phase(shots):
+    """One rng call covers (BLOCK_ENTRIES >> 3) // shots consecutive phases,
+    at least one: 333 and 1000 shots put chunk boundaries inside this
+    100-phase sample (98 and 32 phases a call), 40 000 shots take one phase
+    a call. The count equals that of one random_array(shots) call per phase."""
+    m, d = 6, 3
+    phis = default_phase_sample(3, 36, 64)
+    window = circular_distance_array(phis[:, None], (np.arange(64) / 64)[None, :]) <= 2.0**-m
+    sums = np.where(window, phase_distributions(phis, m, d), 0.0).sum(axis=1)
+    reference = SplitMix64(shots)
+    hits = sum(int(np.count_nonzero(reference.random_array(shots) < q)) for q in sums)
+    rng, calls = SplitMix64(shots), []
+    draw = rng.random_array
+    rng.random_array = lambda n: calls.append(n) or draw(n)
+    assert mean_success_probability(phis, m, d, shots, rng) == hits / (shots * len(phis))
+    rows = max(1, (qpe.BLOCK_ENTRIES >> 3) // shots)
+    assert calls == [shots * min(rows, len(phis) - i) for i in range(0, len(phis), rows)]
+    assert rng.random() == reference.random()
 
 
 def test_sampled_success_draws_no_outcome(monkeypatch):
