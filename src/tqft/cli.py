@@ -38,6 +38,7 @@ import os
 import sys
 import time
 from bisect import bisect_right
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -136,15 +137,13 @@ def parse_float_list(text: str) -> list[float]:
             log = scale.startswith("log")
             if log and (lo <= 0 or hi <= 0):
                 raise UsageError(f"log range needs positive endpoints: {text!r}")
-            # Near the float limit hi - lo or 10**log10(hi) overflows: space at half scale
-            # (log in log space, keeping a subnormal lo), clip to the ends and double.
-            if max(abs(lo), abs(hi)) < 2.0**1022:
-                values = (np.geomspace if log else np.linspace)(lo, hi, points).tolist()
-            else:
-                half = (10.0 ** (np.linspace(np.log10(lo), np.log10(hi), points) - np.log10(2.0))
-                        if log else np.linspace(lo / 2, hi / 2, points))
-                inner = np.clip(half[1:-1], min(lo, hi) / 2, max(lo, hi) / 2) * 2
-                values = [lo, *inner.tolist(), hi][:points]
+            # The ends as given; inner points as np.geomspace / np.linspace give them, lin
+            # at half scale (exact for normal floats) so hi - lo cannot overflow, and clipped
+            # to the ends, since 10**log10(hi) can overflow near the float limit.
+            with np.errstate(over="ignore"):
+                inner = (10.0 ** np.linspace(np.log10(lo), np.log10(hi), points) if log
+                         else np.linspace(lo / 2, hi / 2, points) * 2)[1:-1]
+            values = [lo, *np.clip(inner, min(lo, hi), max(lo, hi)).tolist(), hi][:points]
         else:
             values = [float(token) for token in text.split(",")]
     except UsageError:
@@ -162,16 +161,21 @@ def _depths_for(args, below: int = 0, rates: int = 1) -> list[tuple[int, range |
     """Each --m value with its depths: 1..m - below for 'all', else the requested
     d <= m - below (crossover, which needs d < m, passes below=1).
 
-    A requested depth above every m - below is a usage error naming it; the
-    others keep the order they were given in. Rows, `rates` per depth, are
-    counted by bisection on a sorted copy and capped before any list is built.
+    A value listed twice in --m or --d, or a requested depth above every
+    m - below, is a usage error naming it; the others keep the order they
+    were given in. Rows, `rates` per depth, are counted by bisection on a
+    sorted copy and capped before any list is built.
     """
     ms = parse_int_list(str(args.m))
     if ms is None:
         raise UsageError("--m must be explicit (no 'all')")
+    ds = parse_int_list(args.d)
+    for flag, text, values in (("--m", args.m, ms), ("--d", args.d, ds or [])):
+        repeated = [value for value, count in Counter(values).items() if count > 1]
+        if repeated:
+            raise UsageError(f"{flag} {text} lists {repeated[0]} more than once")
     check_int("--m", min(ms), 1 + below)
     tops = [m - below for m in ms]
-    ds = parse_int_list(args.d)
     if ds is None:
         counts = tops
     elif max(ds) > max(tops):
@@ -420,13 +424,11 @@ SUITE = [
 
 def cmd_suite(args) -> int:
     """Run the default experiment set, one artifact per subcommand."""
-    # Made absolute so that no `run` below applies the environment directory again.
-    base = os.environ.get(OUTPUT_DIR_ENV) or ""
-    out_dir = Path(base, args.out_dir or ("" if base else "tqft-artifacts")).absolute()
-    out_dir.mkdir(parents=True, exist_ok=True)
+    # Each `run` resolves its --out as a user's, under $TQFT_OUTPUT_DIR if set.
+    out_dir = args.out_dir or ("" if os.environ.get(OUTPUT_DIR_ENV) else "tqft-artifacts")
     worst = EXIT_OK
     for filename, argv in SUITE:
-        code = run(argv + ["--out", str(out_dir / filename)])
+        code = run(argv + ["--out", str(Path(out_dir, filename))])
         print(f"{filename}: exit {code}", file=sys.stderr)
         worst = max(worst, code)
     return worst

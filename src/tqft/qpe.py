@@ -18,18 +18,17 @@ One kernel, _fill, evaluates it at O(2^m) real multiplies per phase into
 phase-minor (2^m outcomes, phases) blocks of BLOCK_ENTRIES entries, so
 every stage is one contiguous loop over the phases; no factor couples two
 phases, so the layout changes no float. It fills each block in place, in
-one buffer that the caller may reuse for every block, and leaves outcome
-2^m - 1 - r in row r; each reader un-reverses that order. Its stage
-weights come from one einsum against a cached per-depth cos/sin operand.
-phase_distributions is the one path that transposes a block, into its
-(phases, 2^m) table. The scans over a sample hold no table and reduce
-over the outcome axis: max_tvd_scan builds the full-depth reference and
-its stage weights once per block for every depth of an m to reuse
-(max_tvd is its one-depth case), in two buffers allocated once per m, and
-mean_success_probability reads only the <= 4 candidate outcomes of each
+one buffer that the caller may reuse for every block, with outcome y in row
+y. Its stage weights come from one einsum against a cached per-depth
+cos/sin operand. phase_distributions is the one path that transposes a
+block, into its (phases, 2^m) table. The scans over a sample hold no table
+and reduce over the outcome axis: max_tvd_scan builds the full-depth
+reference and its stage weights once per block for every depth of an m to
+reuse (max_tvd is its one-depth case), in two buffers allocated once per m,
+and mean_success_probability reads only the <= 4 candidate outcomes of each
 phase's success window. The sample checks (register cap, 1-D, non-empty,
-finite) have one owner, _reduced_phases. Tests check the kernel against
-the closed-form full-depth kernel and circuits.apply_plan_to_array.
+finite) have one owner, _reduced_phases. Tests check the kernel against the
+closed-form full-depth kernel and circuits.apply_plan_to_array.
 
 Periodicity. For t <= d, P_d(y + 2^(m-t) mod N | phi + 2^-t) = P_d(y | phi),
 and so for P_m too, since m >= d. In stage j the factor's angle is
@@ -64,10 +63,10 @@ from .circuits import apply_plan_to_array, plan_truncated_qft
 DIST_MAX_QUBITS = 20  # distribution experiments stay desk-scale
 SCAN_MAX_QUBITS = 12  # scans over a phase sample (max_tvd_scan, mean success) get a tighter cap
 
-# Most seeded phases, and most grid points, one sample may hold. Both at the
-# cap (200 000 phases, 150 000 classes mod 2^-1) take `tvd --m 12 --d all`
-# 29 s (2-vCPU Xeon, Python 3.11, numpy 2.4); time grows linearly with the
-# number of residue classes each depth fills.
+# Most seeded phases, and most grid points, one sample may hold. At both caps
+# (150 000 classes mod 2^-1) the worst sweeps, which list no value twice, take
+# 31-34 s (`cliff --m 2..12 --d all`) and 39-40 s (`tvd --m 1..12 --d all`) on a
+# 2-vCPU Xeon (Python 3.11, numpy 2.4); time grows linearly with classes filled.
 MAX_PHASES = 100_000
 # Most outcomes drawn per phase: 10^6 draws add 0.08 s and 23 MB to a
 # `tfim --n 16 --m 12` trial (0.17 s in all), inside its 1 s budget.
@@ -140,9 +139,9 @@ def phase_distributions(phis: np.ndarray, m: int, d: int) -> np.ndarray:
     """Outcome probabilities for many eigenphases at once; rows sum to 1.
 
     Fills one (2^m, phases) block of BLOCK_ENTRIES entries at a time, into
-    one buffer reused for every block, and copies the transpose of its
-    row-reversed view into the output. An empty, non-finite or non-1-D
-    phase array is a bad argument (ValueError).
+    one buffer reused for every block, and copies its transpose into the
+    output. An empty, non-finite or non-1-D phase array is a bad argument
+    (ValueError).
     """
     check_depth(m, d)
     phis = _reduced_phases(phis, m, DIST_MAX_QUBITS)
@@ -150,7 +149,7 @@ def phase_distributions(phis: np.ndarray, m: int, d: int) -> np.ndarray:
     cols = min(len(phis), max(1, BLOCK_ENTRIES >> m))
     buf = np.empty((1 << m, cols))
     for start in range(0, len(phis), cols):
-        out[start:start + cols] = _fill(phis[start:start + cols], m, d, None, buf)[::-1].T
+        out[start:start + cols] = _fill(phis[start:start + cols], m, d, None, buf).T
     return out
 
 
@@ -183,36 +182,34 @@ def _representatives(phis: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _fill(batch: np.ndarray, m: int, d: int, weights, out: np.ndarray) -> np.ndarray:
     """The depth-d table of `batch` (phases in [0, 1)): 2^m rows, one column
-    per phase, outcome 2^m - 1 - r in row r.
+    per phase, outcome y in row y.
 
     Phase-minor, so every stage operation is one contiguous loop over the
     phases, however small m is. Filled in place into the contiguous prefix
     of `out`, a float64 buffer of at least 2^m * len(batch) entries that the
     caller owns and may reuse for every block; the table returned is a view
-    of it. Built bit by bit from the least significant outcome bit up:
-    stage j multiplies the rows so far (bits y_(j+1)..y_(m-1)) by the cos^2
-    factor of qubit j, which depends on the top k = min(d, m-j) bits of
-    y_j..y_(m-1), into the next rows, and subtracts that product in place,
-    leaving the sin^2 half (w <= 1 makes it >= 0). The y_j = 1 half thus
-    comes first, which complements the row order. The callers un-reverse
-    it: phase_distributions reads a [::-1] view, the success window reads
-    row 2^m - 1 - y, and the TVD halving tree adds the same pairs in
-    either order. Given all depth-m `weights`, depth k takes every
-    2^(m-j-k)-th row of stage j's; with None, each stage computes its own.
+    of it. Built bit by bit from the least significant outcome bit up, and
+    grown from the table's last row toward its first: stage j multiplies
+    the rows so far (bits y_(j+1)..y_(m-1)) by the cos^2 factor of qubit j,
+    which depends on the top k = min(d, m-j) bits of y_j..y_(m-1), into the
+    rows just above them, the y_j = 0 half, and subtracts that product in
+    place, leaving the sin^2 half, y_j = 1 (w <= 1 makes it >= 0). Given
+    all depth-m `weights`, depth k takes every 2^(m-j-k)-th row of stage
+    j's; with None, each stage computes its own.
     """
-    cols, size = len(batch), (1 << m) * len(batch)
-    buf = out.reshape(-1)[:size].reshape(1 << m, cols)
-    buf[0] = 1.0
+    n_out, cols = 1 << m, len(batch)
+    buf = out.reshape(-1)[:n_out * cols].reshape(n_out, cols)
+    buf[-1] = 1.0
     for j in range(m - 1, -1, -1):
         k = min(d, m - j)
         half = 1 << (k - 1)
         low = 1 << (m - j - k)  # suffix bits below the k the factor reads
         rows = half * low  # the table so far, over y_(j+1)..y_(m-1)
-        table = buf[:rows].reshape(half, low, cols)
-        upper = buf[rows:2 * rows].reshape(half, low, cols)
+        table = buf[n_out - rows:].reshape(half, low, cols)
+        lower = buf[n_out - 2 * rows:n_out - rows].reshape(half, low, cols)
         w = _stage_weights(batch, j, k) if weights is None else weights[j][::low]
-        np.multiply(table, w[::-1, None], out=upper)
-        np.subtract(table, upper, out=table)
+        np.multiply(table, w[:, None], out=lower)
+        np.subtract(table, lower, out=table)
     return buf
 
 
@@ -410,7 +407,7 @@ def mean_success_probability(phis: np.ndarray, m: int, d: int, shots: int | None
         cells = np.floor(batch * n_out).astype(np.int64)
         candidates = np.sort((cells + offsets) % n_out, axis=0)
         inside = circular_distance_array(batch, candidates / n_out) <= 2.0**-m
-        probs = np.take_along_axis(_fill(batch, m, d, None, buf), n_out - 1 - candidates, axis=0)
+        probs = np.take_along_axis(_fill(batch, m, d, None, buf), candidates, axis=0)
         sums.append(np.where(inside, probs, 0.0).sum(axis=0))
     p = np.concatenate(sums)
     # Written so that a NaN, which fails every comparison, fails too.

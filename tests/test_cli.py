@@ -26,6 +26,7 @@ from tqft.cli import (
     parse_float_list,
     parse_int_list,
 )
+from tqft.numerics import SplitMix64
 from tqft.qpe import grid_phases, mean_success_probability
 
 
@@ -91,6 +92,23 @@ def test_float_range_round_trips(scale, points, lo, hi, negate):
     assert all(type(v) is float and math.isfinite(v) for v in values)
 
 
+def test_float_range_inner_points_are_numpys():
+    """Away from the float limit the one spacing path gives np.geomspace's and
+    np.linspace's floats bit for bit: the log points are geomspace's own
+    10**linspace(log10 lo, log10 hi), and halving and doubling a normal lin
+    point is exact."""
+    rng = SplitMix64(2026)
+    draws = rng.random_array(4 * 300).reshape(300, 4)
+    for u_lo, u_hi, u_points, u_sign in draws.tolist():
+        lo, hi = 10.0 ** (600.0 * u_lo - 300.0), 10.0 ** (600.0 * u_hi - 300.0)  # 1e-300..1e300
+        n = 2 + int(u_points * 60)
+        assert parse_float_list(f"{lo!r}..{hi!r}:log{n}") == np.geomspace(lo, hi, n).tolist()
+        lo = -lo if u_sign < 0.5 else lo
+        assert parse_float_list(f"{lo!r}..{hi!r}:lin{n}") == np.linspace(lo, hi, n).tolist()
+    assert parse_float_list("1e-4..1e-2:log25") == np.geomspace(1e-4, 1e-2, 25).tolist()
+    assert parse_float_list("1e-3..2e-3:lin5") == np.linspace(1e-3, 2e-3, 5).tolist()
+
+
 def test_gates_artifact(tmp_path):
     out = tmp_path / "gates.csv"
     assert main(["gates", "--m", "30", "--d", "11,13,14,30", "--out", str(out)]) == 0
@@ -153,6 +171,25 @@ def test_tvd_over_cap_register_builds_no_table(monkeypatch, tmp_path, capsys):
     payload = json.loads(capsys.readouterr().err.splitlines()[0])
     assert payload == {"error": "UsageError",
                        "message": "register size m=13 exceeds the cap m <= 12"}
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["tvd", "cliff", "gates"])
+@pytest.mark.parametrize("flag, repeated", [("--m", ["--m", "5,4,5", "--d", "2"]),
+                                            ("--d", ["--m", "4,5", "--d", "1..3,2"])])
+def test_a_value_listed_twice_exits_before_any_table(command, flag, repeated, monkeypatch,
+                                                     tmp_path, capsys):
+    """Each (m, d) makes one row: a sweep flag that lists a value twice is a
+    usage error naming the flag, raised before any table is built."""
+    def no_table(*_):
+        raise AssertionError("a table was built")
+    monkeypatch.setattr(qpe, "_fill", no_table)
+    out = tmp_path / "rows.csv"
+    assert main([command, *repeated, "--out", str(out)]) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    payload = json.loads(line)
+    assert payload["error"] == "UsageError"
+    assert payload["message"].startswith(f"{flag} ") and "more than once" in payload["message"]
     assert not out.exists()
 
 

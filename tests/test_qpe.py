@@ -229,7 +229,7 @@ def test_shared_full_depth_weights_give_the_same_floats():
             own = _fresh_fill(phis, m, d)
             shared = _fresh_fill(phis, m, d, weights)
             assert np.array_equal(own, shared), (m, d)
-            assert np.array_equal(own[::-1].T, phase_distributions(phis, m, d)), (m, d)
+            assert np.array_equal(own.T, phase_distributions(phis, m, d)), (m, d)
 
 
 # Every (k, width) with at most 2^20 weights: the table paths never build a
@@ -282,14 +282,14 @@ def test_fill_into_a_reused_poisoned_buffer_equals_a_fresh_one():
                 assert np.array_equal(table, _fresh_fill(batch, m, d)), (m, d, len(batch))
 
 
-def test_fill_row_r_holds_outcome_complement():
+def test_fill_row_y_holds_outcome_y():
     phis = np.concatenate([random_phases(9, 6), EDGE_PHASES, [-0.3, 2.625]])
     for m in (1, 2, 5, 9):
         for d in sorted({1, m // 2 or 1, m}):
             table = _fresh_fill(phis % 1.0, m, d)
             probs = phase_distributions(phis, m, d)
-            for r in range(1 << m):
-                assert np.array_equal(table[r], probs[:, (1 << m) - 1 - r]), (m, d, r)
+            for y in range(1 << m):
+                assert np.array_equal(table[y], probs[:, y]), (m, d, y)
 
 
 def test_tvd_scan_matches_statevector_every_depth():
