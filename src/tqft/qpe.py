@@ -24,11 +24,13 @@ cos/sin operand. phase_distributions is the one path that transposes a
 block, into its (phases, 2^m) table. The scans over a sample hold no table
 and reduce over the outcome axis: max_tvd_scan builds the full-depth
 reference and its stage weights once per block for every depth of an m to
-reuse (max_tvd is its one-depth case), in two buffers allocated once per m,
-and mean_success_probability reads only the <= 4 candidate outcomes of each
-phase's success window. The sample checks (register cap, 1-D, non-empty,
-finite) have one owner, _reduced_phases. Tests check the kernel against the
-closed-form full-depth kernel and circuits.apply_plan_to_array.
+reuse (max_tvd is its one-depth case), in two buffers allocated once per m
+that together fill one block, and mean_success_probability reads only the
+<= 4 candidate outcomes of each phase's success window. The sample checks
+(register cap, 1-D, non-empty, finite) have one owner, _reduced_phases, and
+the check of a computed TV or success probability one, _check_unit_interval.
+Tests check the kernel against the closed-form full-depth kernel and
+circuits.apply_plan_to_array.
 
 Periodicity. For t <= d, P_d(y + 2^(m-t) mod N | phi + 2^-t) = P_d(y | phi),
 and so for P_m too, since m >= d. In stage j the factor's angle is
@@ -65,27 +67,31 @@ SCAN_MAX_QUBITS = 12  # scans over a phase sample (max_tvd_scan, mean success) g
 
 # Most seeded phases, and most grid points, one sample may hold. At both caps
 # (150 000 classes mod 2^-1) the worst sweeps, which list no value twice, take
-# 31-34 s (`cliff --m 2..12 --d all`) and 39-40 s (`tvd --m 1..12 --d all`) on a
+# 33-36 s (`cliff --m 2..12 --d all`) and 38-39 s (`tvd --m 1..12 --d all`) on a
 # 2-vCPU Xeon (Python 3.11, numpy 2.4); time grows linearly with classes filled.
 MAX_PHASES = 100_000
 # Most outcomes drawn per phase: 10^6 draws add 0.08 s and 23 MB to a
 # `tfim --n 16 --m 12` trial (0.17 s in all), inside its 1 s budget.
 MAX_SHOTS = 1_000_000
 
-# Table entries per block: 2 MiB of float64, the L2 of one core. Every
-# table path fills BLOCK_ENTRIES >> m phases at a time (at least one).
+# Table entries per block: 2 MiB of float64, the L2 of one core. The
+# one-table paths (phase_distributions, success) fill BLOCK_ENTRIES >> m
+# phases at a time (at least one); max_tvd_scan's full-depth reference and
+# truncated table share one block, BLOCK_ENTRIES >> (m + 1) phases each.
 # Medians of 7 interleaved runs on the default 4596-phase sample, range over
 # two sweeps (2-vCPU Xeon, Python 3.11, numpy 2.4), for max_tvd_scan([(10,
-# 1..10)]) / ten max_tvd(10, d) calls / phase_distributions(., 12, 12). The
-# scans evaluate one phase per residue class (2548 phases at d = 1, 1524 at
-# d = 2, ...), at most 10 blocks of 256 phases at m = 10:
+# 1..10)]) / ten max_tvd(10, d) calls / phase_distributions(., 12, 12), when
+# the scan gave each table a block. The scans evaluate one phase per residue
+# class (2548 phases at d = 1, 1524 at d = 2, ...):
 #   2^16: 0.048-0.061 / 0.093-0.105 / 0.21-0.24 s
 #   2^17: 0.044-0.054 / 0.080-0.105 / 0.17-0.18 s
 #   2^18: 0.048-0.050 / 0.081-0.090 / 0.19-0.21 s
 #   2^19: 0.054-0.060 / 0.105-0.108 / 0.30-0.32 s
 #   2^20: 0.062-0.076 / 0.111-0.114 / 0.34-0.37 s
 # For the scans, 2^17 and 2^18 differ by less than the spread between sweeps;
-# a larger block raises peak RSS. No command gives phase_distributions a sample.
+# a larger block raises peak RSS. Halving BLOCK_ENTRIES for every path slowed
+# in-process mean_success_probability by 7-11 %, so only the scan halves its
+# columns. No command gives phase_distributions a sample.
 BLOCK_ENTRIES = 1 << 18
 
 # Probability that phase estimation lands within one grid cell of the true
@@ -338,13 +344,17 @@ def _truncation_maxima(phis, order, m: int, counts: dict[int, int]) -> dict[int,
     reference and its stage weights once; depth d fills only the block's
     columns below counts[d], through column slices of both, so every float
     is what a one-depth call computes and no (phases, 2^m) table is held.
-    |ref - trunc| is summed over the outcome axis by an in-place halving
-    tree, a pairwise sum (within m ulps of exact) at the cost of
-    sum(axis=0). The block buffers and TV rows go on return, before the
-    sweep's next m allocates: kept, they raised `tqft suite`'s peak RSS.
+    The reference and truncated buffers together hold BLOCK_ENTRIES
+    entries, BLOCK_ENTRIES >> (m + 1) phases each (at least one); no factor
+    couples two phases, so the width changes no float. |ref - trunc| is
+    summed over the outcome axis by an in-place halving tree, a pairwise
+    sum (within m ulps of exact) at the cost of sum(axis=0). A TV that is
+    not finite or lies outside [0, 1] is raised as ArithmeticError. The
+    block buffers and TV rows go on return, before the sweep's next m
+    allocates: kept, they raised `tqft suite`'s peak RSS.
     """
     phis, width = phis[order], max(counts.values())
-    cols = min(width, max(1, BLOCK_ENTRIES >> m))
+    cols = min(width, max(1, BLOCK_ENTRIES >> (m + 1)))
     tv = {d: np.empty(n) for d, n in counts.items()}
     ref_buf, diff_buf = np.empty((2, 1 << m, cols))
     for start in range(0, width, cols):
@@ -359,7 +369,18 @@ def _truncation_maxima(phis, order, m: int, counts: dict[int, int]) -> dict[int,
                 for b in range(m - 1, -1, -1):  # halving tree: rows r and r + 2^b
                     diff[:1 << b] += diff[1 << b:2 << b]
                 np.multiply(diff[0], 0.5, out=out[start:start + n])
+    for d, v in tv.items():
+        _check_unit_interval(v, "TV distance", m, d)
     return {d: (v.max(), order[:len(v)][v == v.max()].min()) for d, v in tv.items()}
+
+
+def _check_unit_interval(values: np.ndarray, what: str, m: int, d: int) -> None:
+    """Raise ArithmeticError, naming m and d, unless every computed value
+    lies in [0, 1], up to rounding above 1."""
+    # Written so that a NaN, which fails every comparison, fails too.
+    if not (values.min() >= 0.0 and values.max() <= 1.0 + 1e-12):
+        raise ArithmeticError(f"computed {what} for m={m} d={d} "
+                              "lies outside [0, 1] or is not finite")
 
 
 def success_probability(phi: float, m: int, d: int) -> float:
@@ -410,10 +431,7 @@ def mean_success_probability(phis: np.ndarray, m: int, d: int, shots: int | None
         probs = np.take_along_axis(_fill(batch, m, d, None, buf), candidates, axis=0)
         sums.append(np.where(inside, probs, 0.0).sum(axis=0))
     p = np.concatenate(sums)
-    # Written so that a NaN, which fails every comparison, fails too.
-    if not (p.min() >= 0.0 and p.max() <= 1.0 + 1e-12):
-        raise ArithmeticError(f"computed success probability for m={m} d={d} "
-                              "lies outside [0, 1] or is not finite")
+    _check_unit_interval(p, "success probability", m, d)
     if shots is None:
         return float((sizes * p).sum() / count)
     rows, hits = max(1, (BLOCK_ENTRIES >> 3) // shots), 0

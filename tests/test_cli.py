@@ -416,6 +416,19 @@ def test_corrupted_distribution_is_a_numerical_failure(tmp_path, monkeypatch, ca
     assert not out.exists()
 
 
+def test_non_finite_tv_distance_is_a_numerical_failure(tmp_path, monkeypatch, capsys):
+    exact = qpe._fill
+    monkeypatch.setattr(qpe, "_fill",
+                        lambda phis, m, d, *args: np.full_like(exact(phis, m, d, *args), np.nan))
+    out = tmp_path / "tvd.csv"
+    assert main(["tvd", "--m", "6", "--d", "2", "--out", str(out)]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    payload = json.loads(line)
+    assert payload["error"] == "ArithmeticError"
+    assert "m=6 d=2" in payload["message"]
+    assert not out.exists()
+
+
 def test_mode_solver_failure_is_a_numerical_failure(tmp_path, monkeypatch, capsys):
     """LinAlgError is a ValueError, so unconverted it would exit 1 as a usage error."""
     def fail(*args, **kwargs):

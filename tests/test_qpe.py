@@ -419,6 +419,46 @@ def test_sample_scans_hold_no_full_table():
         assert peak < 16 * 2**20, peak
 
 
+def test_tvd_scan_holds_two_tables_within_one_block_budget():
+    """The reference and truncated tables share one block of BLOCK_ENTRIES
+    entries; with the stage weights the scan peaks near two blocks."""
+    sample = default_phase_sample()
+    budget = 2.5 * qpe.BLOCK_ENTRIES * 8
+    for scan in (lambda: max_tvd(10, 1, sample),
+                 lambda: max_tvd_scan([(12, range(1, 13))], sample)):
+        scan()  # fills the per-depth operand cache outside the trace
+        tracemalloc.start()
+        try:
+            scan()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < budget, peak / (qpe.BLOCK_ENTRIES * 8)
+
+
+def test_tvd_scan_does_not_depend_on_its_block_width(monkeypatch):
+    """One column per block, and three with a partial last block, give the
+    default width's floats bit for bit, at every depth."""
+    sample = default_phase_sample(7, 200, 700)
+    default = {m: max_tvd_scan([(m, range(1, m + 1))], sample) for m in range(1, 9)}
+    width = len(qpe._representatives(sample % 1.0, 1)[0])
+    assert width % 3 and width > qpe.BLOCK_ENTRIES >> 9  # a partial last block at m = 8
+    for m, expected in default.items():
+        for cols in (1, 3):
+            monkeypatch.setattr(qpe, "BLOCK_ENTRIES", cols << (m + 1))
+            assert max_tvd_scan([(m, range(1, m + 1))], sample) == expected, (m, cols)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, 1.0])
+def test_bad_tv_distance_is_a_numerical_failure(value, monkeypatch):
+    # A truncated table of ones sums to 2^m, so its TV is (2^m - 1) / 2 > 1.
+    exact = qpe._fill
+    monkeypatch.setattr(qpe, "_fill", lambda phis, m, d, *args: exact(phis, m, d, *args)
+                        if d == m else np.full_like(exact(phis, m, d, *args), value))
+    with pytest.raises(ArithmeticError, match="TV distance for m=6 d=2"):
+        max_tvd(6, 2, default_phase_sample())
+
+
 def test_max_tvd_zero_at_full_depth():
     for m in (4, 5, 6):
         worst, _ = max_tvd(m, m, default_phase_sample())
