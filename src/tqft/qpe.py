@@ -19,13 +19,16 @@ phase-minor (2^m outcomes, phases) blocks of BLOCK_ENTRIES entries, so
 every stage is one contiguous loop over the phases; no factor couples two
 phases, so the layout changes no float. It fills each block in place, in
 one buffer that the caller may reuse for every block, with outcome y in row
-y. Its stage weights come from one einsum against a cached per-depth
-cos/sin operand. phase_distributions is the one path that transposes a
-block, into its (phases, 2^m) table. The scans over a sample hold no table
-and reduce over the outcome axis: max_tvd_scan builds the full-depth
-reference and its stage weights once per block for every depth of an m to
-reuse (max_tvd is its one-depth case), in two buffers allocated once per m
-that together fill one block, and mean_success_probability reads only the
+y. It reads every stage's weights from _stage_weights, which computes them
+for a whole block before the fill, from one cos and one sin call over all m
+stages and one einsum per stage against a cached per-depth cos/sin operand,
+into a second buffer the caller reuses for every block. phase_distributions
+is the one path that transposes a block, into its (phases, 2^m) table. The
+scans over a sample hold no table and reduce over the outcome axis:
+max_tvd_scan builds the full-depth reference and its stage weights once per
+block for every depth of an m to reuse (max_tvd is its one-depth case), in
+two table buffers allocated once per m that together fill one block and a
+weights buffer beside them, and mean_success_probability reads only the
 <= 4 candidate outcomes of each phase's success window. The sample checks
 (register cap, 1-D, non-empty, finite) have one owner, _reduced_phases, and
 the check of a computed TV or success probability one, _check_unit_interval.
@@ -78,20 +81,21 @@ MAX_SHOTS = 1_000_000
 # one-table paths (phase_distributions, success) fill BLOCK_ENTRIES >> m
 # phases at a time (at least one); max_tvd_scan's full-depth reference and
 # truncated table share one block, BLOCK_ENTRIES >> (m + 1) phases each.
-# Medians of 7 interleaved runs on the default 4596-phase sample, range over
-# two sweeps (2-vCPU Xeon, Python 3.11, numpy 2.4), for max_tvd_scan([(10,
-# 1..10)]) / ten max_tvd(10, d) calls / phase_distributions(., 12, 12), when
-# the scan gave each table a block. The scans evaluate one phase per residue
+# Every path holds its stage weights in a second buffer of at most as many
+# rows. Medians of 7 interleaved runs on the default 4596-phase sample, range
+# over two sweeps (2-vCPU Xeon, Python 3.11, numpy 2.4), for
+# max_tvd_scan([(10, 1..10)]) / ten max_tvd(10, d) calls /
+# phase_distributions(., 12, 12). The scans evaluate one phase per residue
 # class (2548 phases at d = 1, 1524 at d = 2, ...):
-#   2^16: 0.048-0.061 / 0.093-0.105 / 0.21-0.24 s
-#   2^17: 0.044-0.054 / 0.080-0.105 / 0.17-0.18 s
-#   2^18: 0.048-0.050 / 0.081-0.090 / 0.19-0.21 s
-#   2^19: 0.054-0.060 / 0.105-0.108 / 0.30-0.32 s
-#   2^20: 0.062-0.076 / 0.111-0.114 / 0.34-0.37 s
-# For the scans, 2^17 and 2^18 differ by less than the spread between sweeps;
-# a larger block raises peak RSS. Halving BLOCK_ENTRIES for every path slowed
-# in-process mean_success_probability by 7-11 %, so only the scan halves its
-# columns. No command gives phase_distributions a sample.
+#   2^16: 0.043 / 0.076-0.078 / 0.13-0.14 s
+#   2^17: 0.032-0.033 / 0.061-0.062 / 0.12-0.13 s
+#   2^18: 0.031 / 0.057 / 0.13-0.14 s
+#   2^19: 0.033-0.035 / 0.059 / 0.22-0.24 s
+#   2^20: 0.040-0.044 / 0.067-0.074 / 0.25-0.29 s
+# 2^18 beats 2^17 on the scans by 3-9 % and loses to it by about as much on
+# phase_distributions, which no command gives a sample; a larger block
+# raises peak RSS. Halving BLOCK_ENTRIES for every path slowed in-process
+# mean_success_probability by 7-11 %, so only the scan halves its columns.
 BLOCK_ENTRIES = 1 << 18
 
 # Probability that phase estimation lands within one grid cell of the true
@@ -145,17 +149,19 @@ def phase_distributions(phis: np.ndarray, m: int, d: int) -> np.ndarray:
     """Outcome probabilities for many eigenphases at once; rows sum to 1.
 
     Fills one (2^m, phases) block of BLOCK_ENTRIES entries at a time, into
-    one buffer reused for every block, and copies its transpose into the
-    output. An empty, non-finite or non-1-D phase array is a bad argument
-    (ValueError).
+    one buffer reused for every block, with its stage weights in a second
+    one, and copies its transpose into the output. An empty, non-finite or
+    non-1-D phase array is a bad argument (ValueError).
     """
     check_depth(m, d)
     phis = _reduced_phases(phis, m, DIST_MAX_QUBITS)
     out = np.empty((len(phis), 1 << m))
     cols = min(len(phis), max(1, BLOCK_ENTRIES >> m))
-    buf = np.empty((1 << m, cols))
+    buf, weights_buf = np.empty((2, 1 << m, cols))
     for start in range(0, len(phis), cols):
-        out[start:start + cols] = _fill(phis[start:start + cols], m, d, None, buf).T
+        batch = phis[start:start + cols]
+        weights = _stage_weights(batch, m, d, weights_buf)
+        out[start:start + cols] = _fill(batch, m, d, weights, buf).T
     return out
 
 
@@ -199,9 +205,10 @@ def _fill(batch: np.ndarray, m: int, d: int, weights, out: np.ndarray) -> np.nda
     the rows so far (bits y_(j+1)..y_(m-1)) by the cos^2 factor of qubit j,
     which depends on the top k = min(d, m-j) bits of y_j..y_(m-1), into the
     rows just above them, the y_j = 0 half, and subtracts that product in
-    place, leaving the sin^2 half, y_j = 1 (w <= 1 makes it >= 0). Given
-    all depth-m `weights`, depth k takes every 2^(m-j-k)-th row of stage
-    j's; with None, each stage computes its own.
+    place, leaving the sin^2 half, y_j = 1 (w <= 1 makes it >= 0). The
+    factors are stage j of `weights` (_stage_weights), read only: each row
+    of depth-d weights, or every 2^(m-j-k)-th row of depth-m weights, which
+    a depth d < m shares with the full-depth reference.
     """
     n_out, cols = 1 << m, len(batch)
     buf = out.reshape(-1)[:n_out * cols].reshape(n_out, cols)
@@ -213,7 +220,7 @@ def _fill(batch: np.ndarray, m: int, d: int, weights, out: np.ndarray) -> np.nda
         rows = half * low  # the table so far, over y_(j+1)..y_(m-1)
         table = buf[n_out - rows:].reshape(half, low, cols)
         lower = buf[n_out - 2 * rows:n_out - rows].reshape(half, low, cols)
-        w = _stage_weights(batch, j, k) if weights is None else weights[j][::low]
+        w = weights[j][::len(weights[j]) >> (k - 1)]
         np.multiply(table, w[:, None], out=lower)
         np.subtract(table, lower, out=table)
     return buf
@@ -230,25 +237,44 @@ def _row_trig(k: int) -> np.ndarray:
     return rows
 
 
-def _stage_weights(phis: np.ndarray, j: int, k: int) -> np.ndarray:
-    """cos^2(pi * (frac(2^j phi) - c)), row c = 0, 1/2^k, ..., 1/2 - 1/2^k, column phi.
+def _stage_weights(batch: np.ndarray, m: int, d: int, out: np.ndarray) -> list[np.ndarray]:
+    """Every stage's depth-d weights for `batch`: stage j = 0..m-1 gets the
+    (2^(k-1), phases) view, k = min(d, m-j),
+    cos^2(pi * (frac(2^j phi) - c)), row c = 0, 1/2^k, ..., 1/2 - 1/2^k, column phi.
 
-    Expanded as (cos a cos b + sin a sin b)^2, which cannot round below 0
-    as 0.5 + 0.5 cos(2(a - b)) can; the clip removes rounding above 1. The
-    sum is one einsum of the cached (cos b, sin b) rows with a (2, phases)
-    (cos a, sin a) operand, which rounds as fl(fl(cos b cos a) + fl(sin b
-    sin a)) at every batch width. A BLAS product (@) does not: with numpy
-    2.4's OpenBLAS it differs in the last bit at almost every width and k.
+    The m views fill consecutive rows of the contiguous prefix of `out`, a
+    float64 buffer of at least (2^m - 1) * len(batch) entries that the
+    caller owns and may reuse for every block. One cos and one sin call
+    cover all m angles a = pi * frac(2^j phi); frac is x - floor(x), exact
+    for x = 2^j phi >= 0, at a tenth of the cost of % 1.0. Each weight is
+    expanded as (cos a cos b + sin a sin b)^2, which cannot round below 0
+    as 0.5 + 0.5 cos(2(a - b)) can, and clipped to remove rounding above 1;
+    the square and the clip each take one call over all m stages, which
+    measured faster on the scans than two calls per stage. The sum is one
+    einsum per stage of the cached (cos b, sin b) rows with the stage's
+    (2, phases) (cos a, sin a) operand, which rounds as fl(fl(cos b cos a)
+    + fl(sin b sin a)) at every batch width. A BLAS product (@) does not:
+    with numpy 2.4's OpenBLAS it differs in the last bit at almost every
+    width and k.
     """
-    a = phis * 2.0**j
-    a -= np.floor(a)  # frac(a), exact for a >= 0, at a tenth of the cost of % 1.0
+    cols = len(batch)
+    a = batch * 2.0 ** np.arange(m)[:, None]
+    a -= np.floor(a)
     a *= np.pi
-    trig = np.empty((2, len(phis)))
-    np.cos(a, out=trig[0])
-    np.sin(a, out=trig[1])
-    weights = np.einsum("ck,kp->cp", _row_trig(k), trig)
-    np.square(weights, out=weights)
-    return np.minimum(weights, 1.0, out=weights)
+    trig = np.empty((m, 2, cols))
+    np.cos(a, out=trig[:, 0])
+    np.sin(a, out=trig[:, 1])
+    flat, stages, start = out.reshape(-1), [], 0
+    for j in range(m):
+        rows = _row_trig(min(d, m - j))
+        w = flat[start:start + len(rows) * cols].reshape(len(rows), cols)
+        np.einsum("ck,kp->cp", rows, trig[j], out=w)
+        stages.append(w)
+        start += w.size
+    filled = flat[:start]
+    np.square(filled, out=filled)
+    np.minimum(filled, 1.0, out=filled)
+    return stages
 
 
 def closed_form_full_distribution(phi: float, m: int) -> PhaseDistribution:
@@ -345,7 +371,8 @@ def _truncation_maxima(phis, order, m: int, counts: dict[int, int]) -> dict[int,
     columns below counts[d], through column slices of both, so every float
     is what a one-depth call computes and no (phases, 2^m) table is held.
     The reference and truncated buffers together hold BLOCK_ENTRIES
-    entries, BLOCK_ENTRIES >> (m + 1) phases each (at least one); no factor
+    entries, BLOCK_ENTRIES >> (m + 1) phases each (at least one), and the
+    reused weights buffer 2^m - 1 rows of as many phases; no factor
     couples two phases, so the width changes no float. |ref - trunc| is
     summed over the outcome axis by an in-place halving tree, a pairwise
     sum (within m ulps of exact) at the cost of sum(axis=0). A TV that is
@@ -357,9 +384,10 @@ def _truncation_maxima(phis, order, m: int, counts: dict[int, int]) -> dict[int,
     cols = min(width, max(1, BLOCK_ENTRIES >> (m + 1)))
     tv = {d: np.empty(n) for d, n in counts.items()}
     ref_buf, diff_buf = np.empty((2, 1 << m, cols))
+    weights_buf = np.empty(((1 << m) - 1, cols))
     for start in range(0, width, cols):
         batch = phis[start:start + cols]
-        weights = [_stage_weights(batch, j, m - j) for j in range(m)]
+        weights = _stage_weights(batch, m, m, weights_buf)
         ref = _fill(batch, m, m, weights, ref_buf)
         for d, out in tv.items():
             n = len(out[start:start + cols])  # the block's columns of depth d
@@ -396,13 +424,14 @@ def mean_success_probability(phis: np.ndarray, m: int, d: int, shots: int | None
     outcomes within circular distance 2^-m of phi. Only the candidates
     floor(phi*N)-1 .. floor(phi*N)+2 (mod N) can be that close, so one
     block loop gathers just their probabilities from each (2^m, phases)
-    block, in one buffer reused for every block, and sums each window in
-    ascending outcome order. A p that is not finite or lies outside [0, 1]
-    is raised as ArithmeticError. Exact mode (shots=None) scores one phase
-    per residue class mod 2^-d, its first in the sample, since p has period
-    2^-d (module docstring), and weights each class's p by its phase count
-    over the sample length. Sampled mode scores every phase. A shot drawn
-    from the outcome distribution lands in the window with probability
+    block, in one buffer reused for every block (its stage weights in a
+    second), and sums each window in ascending outcome order. A p that is
+    not finite or lies outside [0, 1] is raised as ArithmeticError. Exact
+    mode (shots=None) scores one phase per residue class mod 2^-d, its
+    first in the sample, since p has period 2^-d (module docstring), and
+    weights each class's p by its phase count over the sample length.
+    Sampled mode scores every phase. A shot drawn from the outcome
+    distribution lands in the window with probability
     p(phi), independently of the other shots, so a phase's success count
     is Binomial(shots, p(phi)); it is drawn as the count of `shots` uniforms
     u < p(phi), one stretch of the `rng` stream per phase, in sample order.
@@ -421,14 +450,15 @@ def mean_success_probability(phis: np.ndarray, m: int, d: int, shots: int | None
         phis = phis[keep]
     n_out, cols = 1 << m, min(len(phis), max(1, BLOCK_ENTRIES >> m))
     offsets = np.arange(-1, min(4, n_out) - 1)[:, None]  # 2 at m = 1: no outcome twice
-    buf = np.empty((n_out, cols))  # reused by every block
+    buf, weights_buf = np.empty((2, n_out, cols))  # reused by every block
     sums = []
     for start in range(0, len(phis), cols):
         batch = phis[start:start + cols]
+        weights = _stage_weights(batch, m, d, weights_buf)
         cells = np.floor(batch * n_out).astype(np.int64)
         candidates = np.sort((cells + offsets) % n_out, axis=0)
         inside = circular_distance_array(batch, candidates / n_out) <= 2.0**-m
-        probs = np.take_along_axis(_fill(batch, m, d, None, buf), candidates, axis=0)
+        probs = np.take_along_axis(_fill(batch, m, d, weights, buf), candidates, axis=0)
         sums.append(np.where(inside, probs, 0.0).sum(axis=0))
     p = np.concatenate(sums)
     _check_unit_interval(p, "success probability", m, d)

@@ -216,15 +216,22 @@ def test_per_phase_tvd_is_within_2m_ulps_of_the_exact_sum(m, data):
     assert abs(value - exact) <= 2 * m * math.ulp(exact), (value, exact)
 
 
+def _fresh_weights(phis, m, d):
+    """qpe._stage_weights into a buffer of its own, with no spare row."""
+    rows = sum(1 << (min(d, m - j) - 1) for j in range(m))
+    return qpe._stage_weights(phis, m, d, np.empty((rows, len(phis))))
+
+
 def _fresh_fill(phis, m, d, weights=None):
-    """qpe._fill into a buffer of its own."""
+    """qpe._fill into a buffer of its own, with depth-d weights by default."""
+    weights = _fresh_weights(phis, m, d) if weights is None else weights
     return qpe._fill(phis, m, d, weights, np.empty((1 << m, len(phis))))
 
 
 def test_shared_full_depth_weights_give_the_same_floats():
     phis = np.concatenate([random_phases(40, 3), grid_phases(16), [1.0 - 2.0**-53]])
     for m in range(1, 10):
-        weights = [qpe._stage_weights(phis, j, m - j) for j in range(m)]
+        weights = _fresh_weights(phis, m, m)
         for d in range(1, m + 1):
             own = _fresh_fill(phis, m, d)
             shared = _fresh_fill(phis, m, d, weights)
@@ -236,8 +243,10 @@ def test_shared_full_depth_weights_give_the_same_floats():
 # stage wider than BLOCK_ENTRIES / 2 (at m > 18, one column of 2^19 rows).
 @pytest.mark.parametrize("cols", [1, 2, 3, 7, 255, 4095])
 def test_stage_weights_round_as_the_two_product_formula(cols):
-    """The einsum weights equal min((cos b (x) cos a + sin b (x) sin a)^2, 1)
-    bit for bit; an einsum that fused the multiply-add would fail here."""
+    """Each stage view equals min((cos b (x) cos a + sin b (x) sin a)^2, 1)
+    bit for bit; an einsum that fused the multiply-add would fail here. The
+    registers m = k and m = 12, at full depth and at depth k, put a stage
+    of depth k at j = 0 and at j = 12 - k."""
     pool = np.concatenate([EDGE_PHASES, grid_phases(1 << 12)[::97], random_phases(4095, 8)])
     for k in range(1, 13):
         if cols << (k - 1) > 1 << 20:
@@ -245,12 +254,13 @@ def test_stage_weights_round_as_the_two_product_formula(cols):
         b = np.pi * np.arange(1 << (k - 1)) / (1 << k)
         for start in range(0, 16 if cols < 8 else 1):
             phis = pool[start:start + cols]
-            for j in sorted({0, 12 - k}):
+            for m, d, j in sorted({(k, k, 0), (12, 12, 12 - k), (12, k, 0), (12, k, 12 - k)}):
                 a = np.pi * ((phis * 2.0**j) % 1.0)
                 expected = np.multiply.outer(np.cos(b), np.cos(a))
                 expected += np.multiply.outer(np.sin(b), np.sin(a))
                 expected = np.minimum(np.square(expected), 1.0)
-                assert np.array_equal(qpe._stage_weights(phis, j, k), expected), (k, j, start)
+                stage = _fresh_weights(phis, m, d)[j]
+                assert np.array_equal(stage, expected), (k, m, d, j, start)
 
 
 def test_stage_fraction_by_floor_is_bitwise_the_remainder():
@@ -260,26 +270,32 @@ def test_stage_fraction_by_floor_is_bitwise_the_remainder():
     grid = grid_phases(1 << 12)
     phis = np.concatenate([EDGE_PHASES, [2.0**-1074, 2.0**-1022, 0.75 + 2.0**-53], grid,
                            np.nextafter(grid[1:], 0.0), random_phases(4096, 17)])
+    stages = _fresh_weights(phis, DIST_MAX_QUBITS, 1)
     for j in range(DIST_MAX_QUBITS):
         x = phis * 2.0**j
         assert np.array_equal((x - np.floor(x)).view(np.uint64), (x % 1.0).view(np.uint64)), j
         a = np.pi * (x % 1.0)
         expected = np.square(np.cos(a))[None, :]
-        assert np.array_equal(qpe._stage_weights(phis, j, 1), np.minimum(expected, 1.0)), j
+        assert np.array_equal(stages[j], np.minimum(expected, 1.0)), j
 
 
 def test_fill_into_a_reused_poisoned_buffer_equals_a_fresh_one():
+    """Table and weights buffers, each NaN-poisoned and reused by every
+    call, give a fresh buffer's floats, also for a narrower last block."""
     phis = np.concatenate([random_phases(13, 4), EDGE_PHASES])  # 19 phases
-    narrow = phis[:7]  # a last block narrower than the buffer
+    narrow = phis[:7]  # a last block narrower than the buffers
     for m in range(1, 11):
         buf = np.empty((1 << m, len(phis)))
-        weights = [qpe._stage_weights(phis, j, m - j) for j in range(m)]
+        weights_buf = np.empty(((1 << m) - 1, len(phis)))
         for d in range(1, m + 1):
-            for batch, shared in ((phis, None), (phis, weights), (narrow, None)):
+            for batch, depth in ((phis, d), (phis, m), (narrow, d)):
+                weights_buf.fill(math.nan)
+                weights = qpe._stage_weights(batch, m, depth, weights_buf)
+                assert all(np.shares_memory(w, weights_buf) for w in weights), (m, depth)
                 buf.fill(math.nan)
-                table = qpe._fill(batch, m, d, shared, buf)
+                table = qpe._fill(batch, m, d, weights, buf)
                 assert np.shares_memory(table, buf), (m, d)
-                assert np.array_equal(table, _fresh_fill(batch, m, d)), (m, d, len(batch))
+                assert np.array_equal(table, _fresh_fill(batch, m, d)), (m, d, depth, len(batch))
 
 
 def test_fill_row_y_holds_outcome_y():
@@ -421,9 +437,9 @@ def test_sample_scans_hold_no_full_table():
 
 def test_tvd_scan_holds_two_tables_within_one_block_budget():
     """The reference and truncated tables share one block of BLOCK_ENTRIES
-    entries; with the stage weights the scan peaks near two blocks."""
+    entries, and the reused stage weights buffer takes half a block more."""
     sample = default_phase_sample()
-    budget = 2.5 * qpe.BLOCK_ENTRIES * 8
+    budget = 2 * qpe.BLOCK_ENTRIES * 8
     for scan in (lambda: max_tvd(10, 1, sample),
                  lambda: max_tvd_scan([(12, range(1, 13))], sample)):
         scan()  # fills the per-depth operand cache outside the trace
@@ -447,6 +463,29 @@ def test_tvd_scan_does_not_depend_on_its_block_width(monkeypatch):
         for cols in (1, 3):
             monkeypatch.setattr(qpe, "BLOCK_ENTRIES", cols << (m + 1))
             assert max_tvd_scan([(m, range(1, m + 1))], sample) == expected, (m, cols)
+
+
+def test_one_table_paths_do_not_depend_on_their_block_width(monkeypatch):
+    """One column per block, and three with a partial last block, give the
+    default width's floats bit for bit, and sampled success leaves its rng
+    stream where the default width does: a reused table or weights buffer
+    that leaked a stale row into the next block would fail here."""
+    sample = default_phase_sample(7, 200, 701)[::3]  # 301 phases
+    assert len(sample) % 3 and len(qpe._representatives(sample, 3)[0]) % 3
+
+    def results(m):
+        rng = SplitMix64(m)
+        return ([phase_distributions(sample, m, d) for d in range(1, m + 1)],
+                [mean_success_probability(sample, m, d) for d in range(1, m + 1)],
+                [mean_success_probability(sample, m, d, 5, rng) for d in range(1, m + 1)],
+                rng.random())
+    default = {m: results(m) for m in range(1, 9)}
+    for m, (tables, exact, sampled, position) in default.items():
+        for cols in (1, 3):
+            monkeypatch.setattr(qpe, "BLOCK_ENTRIES", cols << m)
+            got_tables, got_exact, got_sampled, got_position = results(m)
+            assert all(map(np.array_equal, got_tables, tables)), (m, cols)
+            assert (got_exact, got_sampled, got_position) == (exact, sampled, position), (m, cols)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, 1.0])
