@@ -230,25 +230,17 @@ def _render(args, rows: list[dict]) -> str:
     return buf.getvalue()
 
 
-def _resolve_out(path_text: str | None) -> Path | None:
-    """Map --out to a path, honoring the default-directory environment
-    variable for relative paths; None means stdout."""
-    if path_text is None or path_text == "-":
-        return None
-    path = Path(path_text)
+def _write_text(args, text: str):
+    """To stdout for --out absent or '-', else to its path, under $TQFT_OUTPUT_DIR if relative."""
+    if args.out is None or args.out == "-":
+        sys.stdout.write(text)
+        return
+    path = Path(args.out)
     base = os.environ.get(OUTPUT_DIR_ENV)
     if base and not path.is_absolute():
         path = Path(base) / path
-    return path
-
-
-def _write_text(args, text: str):
-    path = _resolve_out(args.out)
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text)
 
 
 def _emit(args, rows: list[dict]) -> int:

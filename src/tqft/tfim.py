@@ -22,7 +22,12 @@ The band [-E_scale, E_scale] lands on [1/4, 3/4], so the map is injective
 and an estimate less than a quarter turn off decodes without wrapping. The
 doubling gives each level an exact negative, so the spectrum is bitwise
 symmetric: the ground state sits at exactly 1/4 and the top at exactly
-3/4, both on-grid for m >= 2. Results carry an ``on_grid`` flag so that
+3/4, both on-grid for m >= 2. A trial needs m >= 2: at m = 1 the two
+outcomes, 0 and 1/2, each lie a quarter turn from both edge levels, and
+the ground state reads outcome 0, which decodes to -2 * E_scale, outside
+the spectrum. From m = 2 on, the exact full-depth modal outcome, one of
+the two grid points nearest the phase, stays in [1/4, 3/4]; a shallow
+depth can still miss the band. Results carry an ``on_grid`` flag so that
 0-RMSE rows are never mistaken for a generic accuracy claim; benchmarks
 that need a generic target use an off-grid excited state.
 """
@@ -194,9 +199,9 @@ def qpe_energy_experiment(spec: TfimSpec, m: int, d: int | None = None,
     Noiseless simulation by the product formula: the exact outcome
     distribution gives the modal estimate and the phase RMSE; the returned
     budget models the same configuration including hardware noise at
-    `eps_2q`. ``d=None`` runs the full-depth circuit.
+    `eps_2q`. ``d=None`` runs the full-depth circuit; m >= 2 (module docstring).
     """
-    m, depth = check_depth(m, m if d is None else d)
+    m, depth = check_depth(check_int("register size m", m, 2), m if d is None else d)
     levels, e_scale = spectrum(spec)
     eigenstate_index = check_int("eigenstate index", eigenstate_index, 0, len(levels) - 1)
     energy = float(levels[eigenstate_index])
@@ -206,7 +211,7 @@ def qpe_energy_experiment(spec: TfimSpec, m: int, d: int | None = None,
     grid = np.round(phi * dist.dim) / dist.dim
     on_grid = circular_distance(phi, float(grid)) < GRID_TOL
 
-    deviations = circular_distance_array(dist.outcomes(), phi)
+    deviations = circular_distance_array(np.arange(dist.dim) / dist.dim, phi)
     phase_rmse = float(np.sqrt(np.sum(dist.probs * deviations**2)))
 
     weights, sampled_rmse = dist.probs, None

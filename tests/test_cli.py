@@ -280,6 +280,7 @@ def test_python_dash_m_tqft_runs_the_command():
     ["tfim", "--n", "4", "--m", "8", "--eps", "nan"],
     ["tfim", "--n", "4", "--h", "inf", "--m", "6"],
     ["tfim", "--n", "4", "--J", "nan"],
+    ["tfim", "--n", "4", "--m", "1"],
 ], ids=" ".join)
 def test_empty_or_nonfinite_sweep_is_a_usage_error(argv, tmp_path, capsys):
     out = tmp_path / "artifact.csv"

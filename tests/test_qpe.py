@@ -69,7 +69,6 @@ def test_phase_wraps_modulo_one():
 def test_phase_distribution_validation():
     dist = phase_distribution(0.2, 3, 2)
     assert dist.dim == 8
-    assert dist.outcomes()[3] == 3.0 / 8.0
     with pytest.raises(ValueError):
         PhaseDistribution(2, np.array([0.5, 0.5]))  # wrong length
     with pytest.raises(ValueError):
@@ -166,6 +165,66 @@ def test_product_formula_matches_statevector_large_registers(m):
     phis = default_phase_sample()[::23]  # every 23rd phase: 22 random, 178 on the grid
     for d in (1, 3, m):
         _assert_matches_statevector(phis, m, d)
+
+
+def _point_distributions(phis, m, d):
+    """P_d(y | phi), rows phases in [0, 1) and columns outcomes y, each
+    entry evaluated on its own in _fill's order and rounding, with no code
+    shared with qpe. Stage j's weight is w = min((cos b cos a + sin b sin a)^2, 1),
+    where a = pi * frac(2^j phi), frac by subtracting the floor, and
+    b = pi * c / 2^k, with c the bits y_(j+1) .. y_(j+k-1) read as an
+    integer and k = min(d, m - j). From v = 1, stage j = m-1 .. 0 sets
+    v <- v * w where y_j = 0 and v <- v - v * w where y_j = 1."""
+    y = np.arange(1 << m)
+    v = np.ones((len(phis), 1 << m))
+    for j in range(m - 1, -1, -1):
+        k = min(d, m - j)
+        b = np.pi * ((y >> (m - j - k)) & ((1 << (k - 1)) - 1)) / (1 << k)
+        x = phis * 2.0**j
+        a = np.pi * (x - np.floor(x))
+        w = np.multiply.outer(np.cos(a), np.cos(b)) + np.multiply.outer(np.sin(a), np.sin(b))
+        w = np.minimum(np.square(w), 1.0)
+        vw = v * w
+        v = np.where((y >> (m - 1 - j)) & 1, v - vw, vw)
+    return v
+
+
+# 40 seeded phases, a 13-point grid, and the edges 0, 1/4, 1/2 and 1 - 2^-53.
+POINT_PHASES = np.concatenate([random_phases(40, 21), grid_phases(13),
+                               [0.0, 0.25, 0.5, 1.0 - 2.0**-53]])
+
+
+def test_tables_equal_a_point_evaluation_bit_for_bit():
+    for m in range(1, SCAN_MAX_QUBITS + 1):
+        for d in range(1, m + 1):
+            expected = _point_distributions(POINT_PHASES, m, d)
+            assert np.array_equal(phase_distributions(POINT_PHASES, m, d), expected), (m, d)
+
+
+def test_success_equals_point_window_sums_bit_for_bit():
+    """Each phase's window sum adds the outcomes within 2^-m of phi, at
+    most 3 of its <= 4 candidates, in ascending order, as
+    mean_success_probability does."""
+    for m in range(1, SCAN_MAX_QUBITS + 1):
+        n = 1 << m
+        near = circular_distance_array(POINT_PHASES[:, None], np.arange(n)[None, :] / n)
+        windows = [np.flatnonzero(row <= 2.0**-m) for row in near]
+        assert all(1 <= len(window) <= 3 for window in windows), m
+        for d in range(1, m + 1):
+            probs, sums = _point_distributions(POINT_PHASES, m, d), []
+            for row, window in zip(probs, windows):
+                total = 0.0
+                for y in window:
+                    total += row[y]
+                sums.append(total)
+            sums = np.array(sums)
+            exact = mean_success_probability(POINT_PHASES, m, d)
+            assert exact == _class_weighted_mean(sums, POINT_PHASES, d), (m, d)
+            rng, reference = SplitMix64(m * 64 + d), SplitMix64(m * 64 + d)
+            hits = sum(int(np.count_nonzero(reference.random_array(7) < q)) for q in sums)
+            sampled = mean_success_probability(POINT_PHASES, m, d, 7, rng)
+            assert sampled == hits / (7 * len(POINT_PHASES)), (m, d)
+            assert rng.random() == reference.random(), (m, d)
 
 
 def test_blocked_table_equals_single_rows():

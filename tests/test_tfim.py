@@ -314,13 +314,24 @@ def test_experiment_validation():
         qpe_energy_experiment(TfimSpec(4), m=8, d=9)
 
 
+def test_edge_levels_are_exact_from_two_readout_qubits():
+    # At m = 1 (refused) the ground state read outcome 0, which decodes to
+    # -2 * E_scale; from m = 2 both edge levels are on the grid.
+    for index in (0, 15):
+        result = qpe_energy_experiment(TfimSpec(4), m=2, eigenstate_index=index)
+        assert result.on_grid and result.estimated_energy == result.true_energy
+
+
 @pytest.mark.parametrize("kwargs, message", [
     ({"m": True}, "register size m must be an integer, got True"),
+    ({"m": 1}, "register size m must be >= 2, got 1"),
+    ({"m": 1, "d": 1}, "register size m must be >= 2, got 1"),
+    ({"m": 0}, "register size m must be >= 2, got 0"),
     ({"m": 8, "d": True}, "truncation depth d must be an integer, got True"),
     ({"m": 8, "eigenstate_index": True}, "eigenstate index must be an integer, got True"),
     ({"m": 8, "eigenstate_index": 2.5}, "eigenstate index must be an integer, got 2.5"),
     ({"m": 8, "eigenstate_index": 16}, "eigenstate index must lie in 0..15, got 16"),
-], ids=["m", "d", "index_bool", "index_float", "index_range"])
+], ids=["m", "m_1", "m_1_d_1", "m_0", "d", "index_bool", "index_float", "index_range"])
 def test_experiment_integers_must_be_integers(kwargs, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         qpe_energy_experiment(TfimSpec(4), **kwargs)
